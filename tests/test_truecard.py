@@ -4,14 +4,23 @@ The Yannakakis tree count is the load-bearing piece of the whole
 reproduction (perfect-(n) and re-optimization both depend on it), so
 it is cross-checked against plain DuckDB SQL on many real sub-joins.
 """
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import duckdb
+import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.core.query import Filter, JoinEdge, QuerySpec, Relation, connected_subsets
 from repro.core.reopt import rewrite_with_temp
 from repro.core.truecard import TrueCardinalityOracle
 from repro.imdb import workload
+from repro.imdb.gen import Dataset
 
 
 def duck_count(ds, sql: str) -> int:
@@ -200,3 +209,128 @@ def test_result_matches_duckdb_reference(ds, oracle, q6d):
     expected = con.execute(q6d.result_sql()).fetchdf()
     con.close()
     pd.testing.assert_frame_equal(oracle.result(q6d), expected)
+
+
+# -- exact integer counts ----------------------------------------------
+
+@pytest.mark.parametrize("shape", ["chain", "star"])
+@pytest.mark.parametrize("n_rel", [5, 6, 7])
+def test_counts_are_exact_past_float_and_int64_range(shape, n_rel):
+    # Every row carries the same key, so the join is the full cross
+    # product: 3001**5 > 2**53 (float64 sums round), 3001**6 > 2**63
+    # (int64 sums wrap), and a 7-way star's per-row products pass 2**63.
+    n = 3001
+    tables = {f"r{i}": pd.DataFrame({"k": np.zeros(n, dtype=np.int64)})
+              for i in range(n_rel)}
+    rels = tuple(Relation(f"a{i}", f"r{i}") for i in range(n_rel))
+    joins = tuple(
+        JoinEdge(f"a{i}", "k", f"a{i - 1 if shape == 'chain' else 0}", "k")
+        for i in range(1, n_rel)
+    )
+    spec = QuerySpec(name="big", relations=rels, joins=joins)
+    orc = TrueCardinalityOracle(Dataset(sf=0.0, seed=0, tables=tables))
+    assert orc.card(spec) == n**n_rel
+    for r in rels:
+        gc = orc.group_counts(spec, spec.aliases, r.alias, "k")
+        assert list(gc.index) == [0] and gc.sum() == n**n_rel
+    assert orc._con is None  # no DuckDB fallback
+
+
+# -- canonical count memo ----------------------------------------------
+
+_N_COUNTS = """
+from repro.bench import harness
+from repro.core import stats
+from repro.imdb import gen, workload
+ds = gen.generate(sf=0.01, seed=42)
+h = harness.Harness(ds, stats.analyze_pandas(ds))
+specs = {s.name: s for s in workload.job_lite_workload()}
+for name in ("q025", "q039", "q051"):
+    for cfg in (harness.PERFECT, harness.REOPT32):
+        h.run_query(specs[name], cfg)
+print(h.oracle.n_counts)
+"""
+
+
+def test_count_memo_does_not_depend_on_hash_seed():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    counts = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", _N_COUNTS], env=env,
+                             capture_output=True, text=True, check=True)
+        counts.add(int(out.stdout.split()[-1]))
+    assert len(counts) == 1, counts
+
+
+# -- fast path: no DuckDB for the workload -----------------------------
+
+def test_workload_subsets_never_open_duckdb(ds, specs):
+    orc = TrueCardinalityOracle(ds)
+    for spec in specs:
+        for s in connected_subsets(spec, max_size=4):
+            orc.card(spec, s)
+        orc.release(spec.name)
+    assert orc.n_counts > 0 and orc._con is None
+    orc.close()  # safe when DuckDB was never opened
+    orc.close()
+
+
+# -- property: tree counts equal DuckDB on random small trees ----------
+
+@st.composite
+def random_trees(draw):
+    """Random tree specs over random int-key tables (``k0``, ``k1``)."""
+    n = draw(st.integers(2, 4))
+    cols = []
+    for _ in range(n):
+        rows = draw(st.integers(2, 7))
+        cells = st.lists(st.integers(0, 4), min_size=rows, max_size=rows)
+        cols.append({c: np.array(draw(cells)) for c in ("k0", "k1", "v")})
+    # One key column may be negative or non-integer: DuckDB must count it.
+    bad = draw(st.sampled_from([None, "negative", "float"]))
+    if bad == "negative":
+        cols[0]["k0"][0] = -1
+    elif bad == "float":
+        cols[0]["k0"] = cols[0]["k0"].astype(float)
+    tables = {f"r{i}": pd.DataFrame(c) for i, c in enumerate(cols)}
+    rels = tuple(
+        Relation(f"a{i}", f"r{i}",
+                 (Filter("v", "<=", draw(st.integers(-1, 4))),)  # -1: empty
+                 if draw(st.booleans()) else ())
+        for i in range(n)
+    )
+    keys = st.sampled_from(["k0", "k1"])
+    joins = tuple(
+        JoinEdge(f"a{i}", draw(keys), f"a{draw(st.integers(0, i - 1))}", draw(keys))
+        for i in range(1, n)
+    )
+    return tables, QuerySpec(name="rand", relations=rels, joins=joins), bad
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees())
+def test_tree_counts_match_duckdb_on_random_trees(case):
+    tables, spec, bad = case
+    orc = TrueCardinalityOracle(Dataset(sf=0.0, seed=0, tables=tables))
+    con = duckdb.connect()
+    try:
+        for name, pdf in tables.items():
+            con.register(name, pdf)
+        for s in connected_subsets(spec):
+            assert orc.card(spec, s) == con.execute(spec.count_sql(s)).fetchone()[0], s
+        for a in sorted(spec.aliases):
+            rows = con.execute(
+                f"SELECT {a}.v, COUNT(*) FROM {spec.from_sql()} "
+                f"WHERE {spec.where_sql()} GROUP BY 1"
+            ).fetchall()
+            gc = orc.group_counts(spec, spec.aliases, a, "v")
+            assert {int(v): int(c) for v, c in gc.items()} == dict(rows), a
+    finally:
+        con.close()
+    bad_key_joined = bad is not None and any(
+        j.side(x)[0] == "k0" and x == "a0" for j in spec.joins for x in j.aliases
+    )
+    assert (orc._con is not None) == bad_key_joined
+    orc.close()
