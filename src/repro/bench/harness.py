@@ -83,14 +83,12 @@ class Harness:
         *,
         cost: CostModel | None = None,
         sim: ExecutionSimulator | None = None,
-        planner_kwargs: dict | None = None,
     ):
         self.ds = ds
         self.catalog = catalog
         self.oracle = TrueCardinalityOracle(ds)
         self.cost = cost or CostModel()
         self.sim = sim or ExecutionSimulator()
-        self.planner_kwargs = planner_kwargs or {}
         self._estimators: dict[int | None, object] = {}
 
     # -- estimators (shared across queries, built lazily) --------------
@@ -110,7 +108,7 @@ class Harness:
         """Run one query under one config (simulated execution)."""
         est = self.estimator(config.perfect_n)
         if config.reopt_threshold is None:
-            pr = plan_query(spec, est, self.cost, **self.planner_kwargs)
+            pr = plan_query(spec, est, self.cost)
             cards = true_cards(spec, pr.plan.root, self.oracle)
             return QueryRun(
                 name=spec.name,
@@ -127,7 +125,6 @@ class Harness:
             self.oracle,
             threshold=config.reopt_threshold,
             tag=config.name.replace("-", "").replace(".", "p"),
-            **self.planner_kwargs,
         )
         run = QueryRun(
             name=spec.name,

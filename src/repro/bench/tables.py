@@ -25,13 +25,13 @@ PAPER_TABLE1: dict[int, int] = {
 
 
 def table1(
-    specs: list[QuerySpec], estimator, cost: CostModel | None = None, **kw
+    specs: list[QuerySpec], estimator, cost: CostModel | None = None
 ) -> dict[int, int]:
     """Plan every query; count cardinality estimates by subset size."""
     cost = cost or CostModel()
     total: Counter = Counter()
     for spec in specs:
-        total.update(plan_query(spec, estimator, cost, **kw).est_by_size)
+        total.update(plan_query(spec, estimator, cost).est_by_size)
     return dict(sorted(total.items()))
 
 

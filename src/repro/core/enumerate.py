@@ -1,12 +1,12 @@
-"""Plan enumeration: Selinger-style DP plus a GEQO stand-in.
+"""Plan enumeration: bushy DP over csg-cmp pairs (DPccp).
 
-Queries with fewer than ``dp_threshold`` relations are planned with
-bushy dynamic programming over connected subgraphs (no cartesian
-products) — the System R lineage the paper describes (§II-B). At or
-above the threshold we switch to a randomized join-order search, the
-stand-in for PostgreSQL's GEQO genetic optimizer (``geqo_threshold``
-defaults to 12, so JOB's 12/14/17-relation queries are GEQO-planned in
-the paper's setup).
+Every query is planned with bushy dynamic programming over connected
+subgraphs without cartesian products — the System R lineage the paper
+describes (§II-B). The DP visits only csg-cmp pairs: a connected
+subgraph (csg) and a connected complement (cmp) adjacent to it, as
+enumerated by :class:`~repro.core.query.JoinGraph` with the DPccp
+algorithm of Moerkotte & Neumann (VLDB 2006), so each join considered is
+a valid one.
 
 Every distinct connected subset whose cardinality the planner requests
 is **one cardinality estimate** — that is exactly what the paper's
@@ -19,24 +19,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cost import CostModel
 from .plans import Join, Leaf, Plan, PlanNode
-from .query import QuerySpec, connected_subsets
-
-#: PostgreSQL's geqo_threshold default; passing this as ``dp_threshold``
-#: reproduces PG's behaviour (randomized search for >= 12 relations).
-GEQO_THRESHOLD = 12
-
-#: Default: bushy DP for every query (max JOB query is 17 relations,
-#: and our DP takes ~2 s there). The GEQO stand-in remains available
-#: via ``dp_threshold=GEQO_THRESHOLD``, but is *not* the default: a
-#: best-of-random + hill-climb search over left-deep orders is enough
-#: weaker than PG's real genetic search that perfect-(17) plans for big
-#: queries came out worse than re-optimized ones, inverting the
-#: paper's perfect ≥ reopt ordering (see DESIGN.md §3).
-DP_ALWAYS = 18
+from .query import QuerySpec, connected_subset_masks
 
 
 @dataclass
@@ -46,209 +31,66 @@ class PlannerResult:
     plan: Plan
     est_by_size: Counter
     planning_time: float
-    method: str
+    #: csg-cmp pairs the DP priced (unordered).
+    n_pairs: int
 
     @property
     def n_estimates(self) -> int:
         return sum(self.est_by_size.values())
 
 
-def plan_query(
-    spec: QuerySpec,
-    estimator,
-    cost: CostModel,
-    *,
-    dp_threshold: int = DP_ALWAYS,
-    geqo_pop: int = 80,
-    seed: int = 0,
-) -> PlannerResult:
+def plan_query(spec: QuerySpec, estimator, cost: CostModel) -> PlannerResult:
     """Plan ``spec`` with ``estimator``'s cardinalities and ``cost``."""
     t0 = time.perf_counter()
-    if len(spec.relations) < dp_threshold:
-        plan, est_by_size = _dp_plan(spec, estimator, cost)
-        method = "dp"
-    else:
-        plan, est_by_size = _geqo_plan(spec, estimator, cost, geqo_pop, seed)
-        method = "geqo"
+    plan, est_by_size, n_pairs = _dp_plan(spec, estimator, cost)
     return PlannerResult(
         plan=plan,
         est_by_size=est_by_size,
         planning_time=time.perf_counter() - t0,
-        method=method,
+        n_pairs=n_pairs,
     )
 
-
-# ---------------------------------------------------------------------
-# Bushy DP over connected subgraphs (bitmask submask enumeration).
-# ---------------------------------------------------------------------
 
 def _dp_plan(
     spec: QuerySpec, estimator, cost: CostModel
-) -> tuple[Plan, Counter]:
-    aliases = sorted(spec.aliases)
-    bit = {a: 1 << i for i, a in enumerate(aliases)}
-
-    def to_set(mask: int) -> frozenset[str]:
-        return frozenset(a for a in aliases if mask & bit[a])
-
-    conn = connected_subsets(spec)
-    conn_masks = [sum(bit[a] for a in s) for s in conn]
-    subset_of = dict(zip(conn_masks, conn))
+) -> tuple[Plan, Counter, int]:
+    g = spec.graph
+    subsets = connected_subset_masks(spec)
 
     est: dict[int, float] = {}
     est_by_size: Counter = Counter()
-    for m, s in zip(conn_masks, conn):
+    for m, s in subsets.items():
         est[m] = estimator.card(spec, s)
         est_by_size[len(s)] += 1
 
+    # DPccp emits pairs in no size order, so collect each csg's splits
+    # (by their numerically lower half) and price a csg only after all
+    # smaller ones: `subsets` runs by size.
+    lows: dict[int, list[int]] = {m: [] for m in subsets}
+    for s1 in subsets:
+        for s2 in g.cmps(s1):
+            lows[s1 | s2].append(min(s1, s2))
+
     best: dict[int, tuple[float, PlanNode]] = {}
-    for m, s in zip(conn_masks, conn):
-        if len(s) == 1:
+    for m, s in subsets.items():
+        if m & (m - 1) == 0:
             leaf = Leaf(alias=next(iter(s)), est_card=est[m])
             best[m] = (cost.scan_cost(est[m]), leaf)
-
-    for m, s in zip(conn_masks, conn):
-        if len(s) == 1:
             continue
         winner: tuple[float, PlanNode] | None = None
-        s1 = (m - 1) & m
-        while s1:
+        # Descending lower half, first strict minimum: at equal cost the
+        # split whose lower half is numerically largest wins.
+        for s1 in sorted(lows[m], reverse=True):
             s2 = m ^ s1
-            # Unordered pair dedup; both halves must be connected (in
-            # `best`). S connected + halves connected ⇒ a crossing join
-            # edge exists, so no cartesian check is needed.
-            if s1 < s2 and s1 in best and s2 in best:
-                c1, p1 = best[s1]
-                c2, p2 = best[s2]
-                total = c1 + c2 + cost.join_cost(est[s1], est[s2], est[m])
-                if winner is None or total < winner[0]:
-                    build, probe = (p1, p2) if est[s1] <= est[s2] else (p2, p1)
-                    winner = (total, Join(build, probe, est[m]))
-            s1 = (s1 - 1) & m
+            c1, p1 = best[s1]
+            c2, p2 = best[s2]
+            total = c1 + c2 + cost.join_cost(est[s1], est[s2], est[m])
+            if winner is None or total < winner[0]:
+                build, probe = (p1, p2) if est[s1] <= est[s2] else (p2, p1)
+                winner = (total, Join(build, probe, est[m]))
         assert winner is not None, f"no plan for {sorted(s)}"
         best[m] = winner
 
-    full = sum(bit.values())
-    total_cost, root = best[full]
-    return Plan(root=root, est_cost=total_cost), est_by_size
-
-
-# ---------------------------------------------------------------------
-# GEQO stand-in: randomized left-deep join-order search.
-# ---------------------------------------------------------------------
-
-def _geqo_plan(
-    spec: QuerySpec,
-    estimator,
-    cost: CostModel,
-    pop: int,
-    seed: int,
-) -> tuple[Plan, Counter]:
-    rng = np.random.default_rng(
-        seed ^ (hash(spec.name) & 0x7FFFFFFF)
-    )
-    est_memo: dict[frozenset[str], float] = {}
-
-    def est(s: frozenset[str]) -> float:
-        if s not in est_memo:
-            est_memo[s] = estimator.card(spec, s)
-        return est_memo[s]
-
-    def evaluate(order: list[str]) -> tuple[float, PlanNode]:
-        cur = frozenset({order[0]})
-        node: PlanNode = Leaf(order[0], est(cur))
-        total = cost.scan_cost(est(cur))
-        for a in order[1:]:
-            nxt = cur | {a}
-            right = Leaf(a, est(frozenset({a})))
-            total += cost.scan_cost(right.est_card)
-            total += cost.join_cost(est(cur), right.est_card, est(nxt))
-            node = (
-                Join(node, right, est(nxt))
-                if est(cur) <= right.est_card
-                else Join(right, node, est(nxt))
-            )
-            cur = nxt
-        return total, node
-
-    orders = [_greedy_order(spec, est)]
-    for _ in range(max(pop - 1, 0)):
-        orders.append(_random_order(spec, rng))
-
-    best: tuple[float, PlanNode, list[str]] | None = None
-    for order in orders:
-        total, node = evaluate(order)
-        if best is None or total < best[0]:
-            best = (total, node, order)
-
-    # Local improvement, standing in for GEQO's generational search:
-    # hill-climb over single-alias insertions (a superset of adjacent
-    # swaps) that keep every prefix connected, until a full pass yields
-    # no gain. With good estimates this approaches DP quality on
-    # left-deep orders; with bad estimates it confidently optimizes the
-    # wrong objective — exactly the failure mode under study.
-    assert best is not None
-    improved = True
-    while improved:
-        improved = False
-        order = best[2]
-        n = len(order)
-        for i in range(n):
-            for j in range(n):
-                if j == i:
-                    continue
-                cand = order[:i] + order[i + 1 :]
-                cand = cand[:j] + [order[i]] + cand[j:]
-                if not _prefixes_connected(spec, cand):
-                    continue
-                total, node = evaluate(cand)
-                if total < best[0] * (1 - 1e-9):
-                    best = (total, node, cand)
-                    improved = True
-
-    est_by_size: Counter = Counter()
-    for s in est_memo:
-        est_by_size[len(s)] += 1
-    return Plan(root=best[1], est_cost=best[0]), est_by_size
-
-
-def _prefixes_connected(spec: QuerySpec, order: list[str]) -> bool:
-    """True iff every prefix of the join order induces a connected set."""
-    cur = {order[0]}
-    for a in order[1:]:
-        if not (spec.neighbors(a) & cur):
-            return False
-        cur.add(a)
-    return True
-
-
-def _random_order(spec: QuerySpec, rng: np.random.Generator) -> list[str]:
-    """A uniformly random connected (no-cartesian) left-deep order."""
-    aliases = sorted(spec.aliases)
-    start = aliases[int(rng.integers(len(aliases)))]
-    order, in_set = [start], {start}
-    while len(order) < len(aliases):
-        frontier = sorted(
-            {n for a in in_set for n in spec.neighbors(a)} - in_set
-        )
-        pick = frontier[int(rng.integers(len(frontier)))]
-        order.append(pick)
-        in_set.add(pick)
-    return order
-
-
-def _greedy_order(spec: QuerySpec, est) -> list[str]:
-    """Min-intermediate-cardinality greedy order (a GEQO seed member)."""
-    aliases = sorted(spec.aliases)
-    start = min(
-        aliases, key=lambda a: (est(frozenset({a})), a)
-    )
-    order, in_set = [start], frozenset({start})
-    while len(order) < len(aliases):
-        frontier = sorted(
-            {n for a in in_set for n in spec.neighbors(a)} - in_set
-        )
-        pick = min(frontier, key=lambda a: (est(in_set | {a}), a))
-        order.append(pick)
-        in_set = in_set | {pick}
-    return order
+    total_cost, root = best[(1 << len(g.aliases)) - 1]
+    n_pairs = sum(map(len, lows.values()))
+    return Plan(root=root, est_cost=total_cost), est_by_size, n_pairs

@@ -48,8 +48,9 @@ class PostgresEstimator:
     # -- internals -----------------------------------------------------
     def _estimate(self, spec: QuerySpec, subset: frozenset[str]) -> float:
         card = 1.0
-        for a in subset:
-            card *= self.base_card(spec.relation(a))
+        for r in spec.relations:  # spec order: the product is hash-seed free
+            if r.alias in subset:
+                card *= self.base_card(r)
         for j in spec.joins:
             if j.aliases <= subset:
                 card *= self.join_selectivity(
@@ -132,7 +133,9 @@ class PerfectEstimator:
 
     def _removable(self, spec: QuerySpec, subset: frozenset[str]) -> str:
         """Deterministic alias whose removal keeps ``subset`` connected."""
+        g = spec.graph
+        m = g.mask(subset)
         for a in sorted(subset, reverse=True):
-            if len(subset) == 1 or spec.is_connected(subset - {a}):
+            if len(subset) == 1 or g.is_connected(m ^ (1 << g.index[a])):
                 return a
         raise AssertionError(f"no removable alias in {sorted(subset)}")

@@ -12,6 +12,7 @@ Aliases are first-class (JOB reuses tables under several aliases, e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -135,12 +136,14 @@ class QuerySpec:
                 return r
         raise KeyError(alias)
 
+    @cached_property
+    def graph(self) -> "JoinGraph":
+        """The join graph as bitmask adjacency, built once per spec."""
+        return JoinGraph(self)
+
     def neighbors(self, alias: str) -> frozenset[str]:
-        out = set()
-        for j in self.joins:
-            if alias in j.aliases:
-                out |= j.aliases - {alias}
-        return frozenset(out)
+        g = self.graph
+        return g.subset(g.nbr[g.index[alias]]) if alias in g.index else frozenset()
 
     def edges_between(
         self, left: frozenset[str], right: frozenset[str]
@@ -155,17 +158,8 @@ class QuerySpec:
 
     def is_connected(self, subset: frozenset[str]) -> bool:
         """True iff ``subset`` induces a connected join subgraph."""
-        if not subset:
-            return False
-        seen = {next(iter(subset))}
-        frontier = list(seen)
-        while frontier:
-            a = frontier.pop()
-            for n in self.neighbors(a) & subset:
-                if n not in seen:
-                    seen.add(n)
-                    frontier.append(n)
-        return seen == subset
+        g = self.graph
+        return subset <= g.index.keys() and g.is_connected(g.mask(subset))
 
     # -- SQL rendering -------------------------------------------------
     def where_sql(self, subset: frozenset[str] | None = None) -> str:
@@ -204,28 +198,136 @@ class QuerySpec:
         )
 
 
+class JoinGraph:
+    """Bitmask adjacency of a query's join graph.
+
+    Aliases are numbered in sorted order: bit ``i`` of a mask stands for
+    ``aliases[i]`` and ``nbr[i]`` is the mask of its join neighbours.
+    The connected-subgraph enumeration is EnumerateCsg/EnumerateCmp of
+    Moerkotte & Neumann, "Analysis of Two Existing and One New Dynamic
+    Programming Algorithm for the Generation of Optimal Bushy Join Trees
+    without Cross Products" (VLDB 2006).
+    """
+
+    def __init__(self, spec: QuerySpec):
+        self.aliases = tuple(sorted(spec.aliases))
+        self.index = {a: i for i, a in enumerate(self.aliases)}
+        nbr = [0] * len(self.aliases)
+        for j in spec.joins:
+            left, right = self.index[j.left_alias], self.index[j.right_alias]
+            nbr[left] |= 1 << right
+            nbr[right] |= 1 << left
+        self.nbr = tuple(nbr)
+
+    def mask(self, subset) -> int:
+        return sum(1 << self.index[a] for a in subset)
+
+    def subset(self, mask: int) -> frozenset[str]:
+        return frozenset(a for i, a in enumerate(self.aliases) if mask >> i & 1)
+
+    def neighborhood(self, mask: int) -> int:
+        """Union of the neighbours of ``mask``'s members (may overlap it)."""
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= self.nbr[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def is_connected(self, mask: int) -> bool:
+        seen = frontier = mask & -mask
+        while frontier:
+            frontier = self.neighborhood(frontier) & mask & ~seen
+            seen |= frontier
+        return bool(mask) and seen == mask
+
+    def csgs(self) -> list[int]:
+        """Every connected subgraph (EnumerateCsg), in no fixed order."""
+        out: list[int] = []
+        for i in reversed(range(len(self.nbr))):
+            out.append(1 << i)
+            self._grow(1 << i, self.nbr[i], (2 << i) - 1, out)
+        return out
+
+    def cmps(self, s1: int) -> list[int]:
+        """Every connected complement of the csg ``s1`` (EnumerateCmp).
+
+        Each is a csg disjoint from and adjacent to ``s1`` whose lowest
+        member is above ``s1``'s, so every unordered csg-cmp pair is
+        reached from exactly one of its halves.
+        """
+        x = s1 | (((s1 & -s1) << 1) - 1)
+        n = self.neighborhood(s1) & ~x
+        out: list[int] = []
+        for i in reversed(range(n.bit_length())):
+            if n >> i & 1:
+                out.append(1 << i)
+                self._grow(1 << i, self.nbr[i], x | (n & ((2 << i) - 1)), out)
+        return out
+
+    def _grow(self, s: int, s_nbr: int, x: int, out: list[int]) -> None:
+        """EnumerateCsgRec: append each connected ``s | sub`` for non-empty
+        ``sub`` drawn from ``s``'s neighbours outside ``x``, recursively.
+
+        ``s_nbr`` is ``neighborhood(s)``; a subset's neighbourhood is
+        built from the one without its lowest bit, so each costs one OR.
+        """
+        n = s_nbr & ~x
+        if not n:
+            return
+        grown = {0: s_nbr}
+        sub = n & -n
+        while sub:  # non-empty subsets of n in increasing order
+            low = sub & -sub
+            grown[sub] = grown[sub ^ low] | self.nbr[low.bit_length() - 1]
+            out.append(s | sub)
+            sub = (sub - n) & n
+        del grown[0]
+        x |= n
+        for sub, sub_nbr in grown.items():
+            self._grow(s | sub, sub_nbr, x, out)
+
+
+def connected_subset_masks(
+    spec: QuerySpec, max_size: int | None = None
+) -> dict[int, frozenset[str]]:
+    """:func:`connected_subsets` keyed by their ``spec.graph`` masks."""
+    g = spec.graph
+    n = len(g.aliases)
+    max_size = max_size or n
+
+    def order(m: int) -> tuple[int, int]:
+        # Within one size, sorted alias tuples compare at the lowest
+        # member the two sets do not share: the set holding it comes
+        # first. Reversing the bits makes that member the highest bit.
+        return m.bit_count(), -int(f"{m:0{n}b}"[::-1], 2)
+
+    out: dict[int, frozenset[str]] = {}
+    for m in sorted((m for m in g.csgs() if m.bit_count() <= max_size), key=order):
+        if m & (m - 1) == 0:
+            out[m] = frozenset({g.aliases[m.bit_length() - 1]})
+            continue
+        # Extend a connected subset one smaller by union (which sizes
+        # the set's hash table for its length), as every connected set
+        # of two or more members has a member whose removal keeps it
+        # connected.
+        rest = m
+        while rest:
+            low = rest & -rest
+            if m ^ low in out:
+                out[m] = out[m ^ low] | {g.aliases[low.bit_length() - 1]}
+                break
+            rest ^= low
+    return out
+
+
 def connected_subsets(
     spec: QuerySpec, max_size: int | None = None
 ) -> list[frozenset[str]]:
     """Every connected alias subset of ``spec``'s join graph, by size.
 
-    Uses frontier expansion: a connected subset of size k+1 is a
-    connected subset of size k plus a neighbor. Deterministic order
-    (sorted within each size). This is the set of "joinrels" a
-    Selinger-style DP considers — one cardinality estimate each.
+    Deterministic order (sorted within each size). This is the set of
+    "joinrels" a Selinger-style DP considers — one cardinality estimate
+    each.
     """
-    max_size = max_size or len(spec.relations)
-    by_size: list[set[frozenset[str]]] = [set() for _ in range(max_size + 1)]
-    for r in spec.relations:
-        by_size[1].add(frozenset({r.alias}))
-    for k in range(1, max_size):
-        for s in by_size[k]:
-            frontier: set[str] = set()
-            for a in s:
-                frontier |= spec.neighbors(a)
-            for n in frontier - s:
-                by_size[k + 1].add(s | {n})
-    out: list[frozenset[str]] = []
-    for k in range(1, max_size + 1):
-        out += sorted(by_size[k], key=lambda s: tuple(sorted(s)))
-    return out
+    return list(connected_subset_masks(spec, max_size).values())

@@ -150,7 +150,6 @@ def reoptimize(
     threshold: float = 32.0,
     tag: str = "r",
     max_rounds: int | None = None,
-    **planner_kwargs,
 ) -> ReoptOutcome:
     """Run the full re-optimization loop (engine-agnostic).
 
@@ -160,7 +159,7 @@ def reoptimize(
     """
     outcome = ReoptOutcome(original_spec=spec, final_spec=spec, steps=[])
     cur = spec
-    pr = plan_query(cur, estimator, cost, **planner_kwargs)
+    pr = plan_query(cur, estimator, cost)
     outcome.planner_results.append(pr)
     max_rounds = max_rounds if max_rounds is not None else len(spec.relations)
     for rnd in range(max_rounds):
@@ -189,7 +188,7 @@ def reoptimize(
             )
         )
         cur = new_spec
-        pr = plan_query(cur, estimator, cost, **planner_kwargs)
+        pr = plan_query(cur, estimator, cost)
         outcome.planner_results.append(pr)
     outcome.final_spec = cur
     return outcome
