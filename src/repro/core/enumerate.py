@@ -6,7 +6,8 @@ describes (§II-B). The DP visits only csg-cmp pairs: a connected
 subgraph (csg) and a connected complement (cmp) adjacent to it, as
 enumerated by :class:`~repro.core.query.JoinGraph` with the DPccp
 algorithm of Moerkotte & Neumann (VLDB 2006), so each join considered is
-a valid one.
+a valid one. The DP table holds only a cost and a winning split per
+connected subset; plan nodes are built for the winning tree alone.
 
 Every distinct connected subset whose cardinality the planner requests
 is **one cardinality estimate** — that is exactly what the paper's
@@ -30,7 +31,11 @@ class PlannerResult:
 
     plan: Plan
     est_by_size: Counter
-    planning_time: float
+    #: seconds spent obtaining cardinality estimates; under perfect-(n)
+    #: this includes the oracle's counting of subsets of <= n relations.
+    estimate_time: float
+    #: seconds spent enumerating subsets and pricing the DP's pairs.
+    enumerate_time: float
     #: csg-cmp pairs the DP priced (unordered).
     n_pairs: int
 
@@ -38,30 +43,24 @@ class PlannerResult:
     def n_estimates(self) -> int:
         return sum(self.est_by_size.values())
 
+    @property
+    def planning_time(self) -> float:
+        return self.estimate_time + self.enumerate_time
+
 
 def plan_query(spec: QuerySpec, estimator, cost: CostModel) -> PlannerResult:
     """Plan ``spec`` with ``estimator``'s cardinalities and ``cost``."""
     t0 = time.perf_counter()
-    plan, est_by_size, n_pairs = _dp_plan(spec, estimator, cost)
-    return PlannerResult(
-        plan=plan,
-        est_by_size=est_by_size,
-        planning_time=time.perf_counter() - t0,
-        n_pairs=n_pairs,
-    )
-
-
-def _dp_plan(
-    spec: QuerySpec, estimator, cost: CostModel
-) -> tuple[Plan, Counter, int]:
     g = spec.graph
     subsets = connected_subset_masks(spec)
 
+    t1 = time.perf_counter()
     est: dict[int, float] = {}
     est_by_size: Counter = Counter()
     for m, s in subsets.items():
         est[m] = estimator.card(spec, s)
         est_by_size[len(s)] += 1
+    t2 = time.perf_counter()
 
     # DPccp emits pairs in no size order, so collect each csg's splits
     # (by their numerically lower half) and price a csg only after all
@@ -69,28 +68,44 @@ def _dp_plan(
     lows: dict[int, list[int]] = {m: [] for m in subsets}
     for s1 in subsets:
         for s2 in g.cmps(s1):
-            lows[s1 | s2].append(min(s1, s2))
+            lows[s1 | s2].append(s1 if s1 < s2 else s2)
 
-    best: dict[int, tuple[float, PlanNode]] = {}
-    for m, s in subsets.items():
+    # The DP keeps only each csg's best cost and winning lower half; the
+    # plan tree is built once, for the winner, at the end.
+    join_cost = cost.join_cost
+    best: dict[int, float] = {}
+    split: dict[int, int] = {}
+    for m, splits in lows.items():
         if m & (m - 1) == 0:
-            leaf = Leaf(alias=next(iter(s)), est_card=est[m])
-            best[m] = (cost.scan_cost(est[m]), leaf)
+            best[m] = cost.scan_cost(est[m])
             continue
-        winner: tuple[float, PlanNode] | None = None
-        # Descending lower half, first strict minimum: at equal cost the
-        # split whose lower half is numerically largest wins.
-        for s1 in sorted(lows[m], reverse=True):
-            s2 = m ^ s1
-            c1, p1 = best[s1]
-            c2, p2 = best[s2]
-            total = c1 + c2 + cost.join_cost(est[s1], est[s2], est[m])
-            if winner is None or total < winner[0]:
-                build, probe = (p1, p2) if est[s1] <= est[s2] else (p2, p1)
-                winner = (total, Join(build, probe, est[m]))
-        assert winner is not None, f"no plan for {sorted(s)}"
-        best[m] = winner
+        out = est[m]
+        win_cost, win_lo = float("inf"), 0
+        for lo in splits:
+            hi = m ^ lo
+            total = best[lo] + best[hi] + join_cost(est[lo], est[hi], out)
+            # At equal cost the numerically largest lower half wins.
+            if total < win_cost or (total == win_cost and lo > win_lo):
+                win_cost, win_lo = total, lo
+        assert win_lo, f"no plan for {sorted(subsets[m])}"
+        best[m], split[m] = win_cost, win_lo
 
-    total_cost, root = best[(1 << len(g.aliases)) - 1]
-    n_pairs = sum(map(len, lows.values()))
-    return Plan(root=root, est_cost=total_cost), est_by_size, n_pairs
+    def tree(m: int) -> PlanNode:
+        if m not in split:
+            return Leaf(alias=g.aliases[m.bit_length() - 1], est_card=est[m])
+        lo = split[m]
+        hi = m ^ lo
+        p_lo, p_hi = tree(lo), tree(hi)
+        build, probe = (p_lo, p_hi) if est[lo] <= est[hi] else (p_hi, p_lo)
+        return Join(build, probe, est[m])
+
+    full = (1 << len(g.aliases)) - 1
+    plan = Plan(root=tree(full), est_cost=best[full])
+    t3 = time.perf_counter()
+    return PlannerResult(
+        plan=plan,
+        est_by_size=est_by_size,
+        estimate_time=t2 - t1,
+        enumerate_time=(t1 - t0) + (t3 - t2),
+        n_pairs=sum(map(len, lows.values())),
+    )

@@ -16,9 +16,21 @@ technique, seeded by the (perfect) estimate of a size-(k-1) sub-subset
 exactly the PostgreSQL estimator.
 
 Both memoize per ``(spec.name, subset)``; one estimate per "joinrel",
-as in PostgreSQL — which is what the paper's Table I counts.
+as in PostgreSQL — which is what the paper's Table I counts. Like
+PostgreSQL's ``set_baserel_size_estimates``, the PG estimator sizes each
+base relation once per query: on the first estimate for a
+``spec.name`` it builds that spec's :class:`Factors` (every base
+cardinality and join selectivity), and each estimate, under either
+estimator, multiplies factors from it. The memo and the factor table
+share the ``spec.name`` key, so both rely on one condition: within one
+estimator, a name always stands for the same spec, and the statistics
+of its tables do not change after its first estimate. Re-optimization
+keeps it: every rewritten spec gets a fresh name, and its temp table's
+statistics are in the catalog before that name is first estimated.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .query import QuerySpec, Relation
 from .stats import (
@@ -30,12 +42,22 @@ from .stats import (
 from .truecard import TrueCardinalityOracle
 
 
+class Factors(NamedTuple):
+    """The factors of a spec's PG estimates, computed once per spec."""
+
+    #: alias -> :meth:`PostgresEstimator.base_card`, in ``spec.relations`` order.
+    base: dict[str, float]
+    #: (left alias, right alias, join selectivity), in ``spec.joins`` order.
+    joins: tuple[tuple[str, str, float], ...]
+
+
 class PostgresEstimator:
     """Uniformity + independence estimator over ANALYZE statistics."""
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
         self._memo: dict[tuple[str, frozenset[str]], float] = {}
+        self._factors: dict[str, Factors] = {}
 
     # -- public API ----------------------------------------------------
     def card(self, spec: QuerySpec, subset: frozenset[str]) -> float:
@@ -45,20 +67,41 @@ class PostgresEstimator:
             self._memo[key] = self._estimate(spec, subset)
         return self._memo[key]
 
+    def factors(self, spec: QuerySpec) -> Factors:
+        """``spec``'s base cardinalities and join selectivities, built on
+        the first call for ``spec.name``."""
+        f = self._factors.get(spec.name)
+        if f is None:
+            f = self._factors[spec.name] = Factors(
+                base={r.alias: self.base_card(r) for r in spec.relations},
+                joins=tuple(
+                    (
+                        j.left_alias,
+                        j.right_alias,
+                        self.join_selectivity(
+                            spec.relation(j.left_alias).table,
+                            j.left_col,
+                            spec.relation(j.right_alias).table,
+                            j.right_col,
+                        ),
+                    )
+                    for j in spec.joins
+                ),
+            )
+        return f
+
     # -- internals -----------------------------------------------------
     def _estimate(self, spec: QuerySpec, subset: frozenset[str]) -> float:
+        # Base cardinalities, then selectivities, each in spec order:
+        # the product is hash-seed free.
+        f = self.factors(spec)
         card = 1.0
-        for r in spec.relations:  # spec order: the product is hash-seed free
-            if r.alias in subset:
-                card *= self.base_card(r)
-        for j in spec.joins:
-            if j.aliases <= subset:
-                card *= self.join_selectivity(
-                    spec.relation(j.left_alias).table,
-                    j.left_col,
-                    spec.relation(j.right_alias).table,
-                    j.right_col,
-                )
+        for alias, base in f.base.items():
+            if alias in subset:
+                card *= base
+        for left, right, sel in f.joins:
+            if left in subset and right in subset:
+                card *= sel
         return max(card, 1.0)
 
     def base_card(self, rel: Relation) -> float:
@@ -114,21 +157,16 @@ class PerfectEstimator:
     def _estimate(self, spec: QuerySpec, subset: frozenset[str]) -> float:
         if len(subset) <= self.n:
             return float(max(self.oracle.card(spec, subset), 1))
+        f = self.pg.factors(spec)
         if len(subset) == 1:
-            return self.pg.base_card(spec.relation(next(iter(subset))))
+            return f.base[next(iter(subset))]
         # Default technique above n: extend a (recursively estimated)
         # sub-subset by one relation with uniformity join selectivity.
         r = self._removable(spec, subset)
-        rest = subset - {r}
-        card = self.card(spec, rest) * self.pg.base_card(spec.relation(r))
-        for j in spec.joins:
-            if r in j.aliases and j.aliases <= subset:
-                card *= self.pg.join_selectivity(
-                    spec.relation(j.left_alias).table,
-                    j.left_col,
-                    spec.relation(j.right_alias).table,
-                    j.right_col,
-                )
+        card = self.card(spec, subset - {r}) * f.base[r]
+        for left, right, sel in f.joins:
+            if r in (left, right) and left in subset and right in subset:
+                card *= sel
         return max(card, 1.0)
 
     def _removable(self, spec: QuerySpec, subset: frozenset[str]) -> str:

@@ -9,6 +9,7 @@ executor / re-optimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Union
 
 PlanNode = Union["Leaf", "Join"]
@@ -37,8 +38,9 @@ class Join:
     right: PlanNode
     est_card: float
 
-    @property
+    @cached_property
     def aliases(self) -> frozenset[str]:
+        # Cached per node: tree walks read it at every node.
         return self.left.aliases | self.right.aliases
 
     def pretty(self, indent: int = 0) -> str:

@@ -11,16 +11,61 @@ claims hold on our substrate:
   (Fig. 1: 27% reopt / ~35% perfect);
 * re-optimization shifts the Table II distribution toward 0.8–1.2 and
   shrinks the > 5 tail (Table VI).
+
+It also pins the run's outputs, unit by unit, against a golden file, so a
+speed-up that moves any plan, cost or simulated time fails here. After a
+deliberate output change, regenerate it with
+``PYTHONPATH=src python -m tests.test_endtoend_claims`` and explain the
+difference in CHANGES.md.
 """
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench import tables as T
 from repro.bench.harness import PG, PERFECT, REOPT32, total_times
 
+GOLDEN = Path(__file__).parent / "golden" / "endtoend_sf0.01_seed42.json"
+
 
 @pytest.fixture(scope="session")
 def full_results(harness, specs):
     return harness.run_workload(specs, [PG, PERFECT, REOPT32])
+
+
+def unit_digest(run) -> str:
+    """SHA-256 of a run's outputs: every planning round's plan tree,
+    exact estimated cost and estimates by subset size, then the
+    simulated time."""
+    rounds = [run.plan] if run.outcome is None else run.outcome.planner_results
+    parts = []
+    for pr in rounds:
+        parts += [
+            pr.plan.pretty(),
+            repr(pr.plan.est_cost),
+            repr(sorted(pr.est_by_size.items())),
+        ]
+    parts.append(repr(run.sim_time))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def unit_digests(results) -> dict[str, str]:
+    """``{"query/config": digest}`` for every unit of a workload run."""
+    return {
+        f"{name}/{config}": unit_digest(run)
+        for config, runs in results.items()
+        for name, run in runs.items()
+    }
+
+
+def test_outputs_match_golden(full_results):
+    golden = json.loads(GOLDEN.read_text())
+    got = unit_digests(full_results)
+    assert sorted(got) == sorted(golden)
+    drifted = sorted(u for u in golden if got[u] != golden[u])
+    assert not drifted, f"outputs differ from {GOLDEN.name} for {drifted}"
 
 
 def test_perfect_beats_pg_substantially(full_results):
@@ -99,3 +144,18 @@ def test_reopt_rarely_catastrophic(full_results):
         > 2 * full_results["pg"][n].sim_time
     ]
     assert len(worse) <= 15
+
+
+if __name__ == "__main__":
+    from repro.bench.harness import Harness
+    from repro.core.stats import analyze_pandas
+    from repro.imdb import gen, workload
+
+    from .conftest import SEED, SF
+
+    ds = gen.generate(sf=SF, seed=SEED)
+    results = Harness(ds, analyze_pandas(ds)).run_workload(
+        workload.job_lite_workload(), [PG, PERFECT, REOPT32]
+    )
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(unit_digests(results), indent=1, sort_keys=True) + "\n")

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.core.cost import CostModel
 from repro.core.enumerate import plan_query
+from repro.core.estimator import PostgresEstimator
 from repro.core.plans import Join, Leaf, Plan, walk
 from repro.core.query import JoinEdge, QuerySpec, Relation, connected_subsets
 from repro.imdb import workload
@@ -87,6 +88,12 @@ def test_dp_deterministic(q6d, pg_est, cost_model):
 def test_planning_time_recorded(q6d, pg_est, cost_model):
     pr = plan_query(q6d, pg_est, cost_model)
     assert pr.planning_time > 0
+
+
+def test_planning_time_splits_into_estimate_and_enumerate(q6d, catalog, cost_model):
+    pr = plan_query(q6d, PostgresEstimator(catalog), cost_model)
+    assert pr.estimate_time > 0 and pr.enumerate_time > 0
+    assert pr.estimate_time + pr.enumerate_time == pr.planning_time
 
 
 def test_perfect_estimator_changes_plan_cost(q6d, pg_est, perfect_est, cost_model):

@@ -3,6 +3,9 @@ import pytest
 
 from repro.core.estimator import PerfectEstimator, PostgresEstimator
 from repro.core.query import Filter, JoinEdge, QuerySpec, Relation, connected_subsets
+from repro.core.reopt import rewrite_with_temp
+from repro.core.stats import analyze_pandas
+from repro.core.truecard import TrueCardinalityOracle
 from repro.imdb import workload
 
 
@@ -140,3 +143,60 @@ def test_removable_keeps_connectivity(perfect_est, q6d):
             continue
         r = perfect_est._removable(q6d, s)
         assert q6d.is_connected(s - {r})
+
+
+def reference_perfect(n, spec, oracle, pg):
+    """perfect-(n) for every connected subset of ``spec``, by the plain
+    recursion: the oracle up to n relations; above n, the estimate
+    without the largest alias that keeps the rest connected, times that
+    alias's base cardinality, times each selectivity of an edge from it
+    into the subset in ``spec.joins`` order, clamped at 1."""
+    rel = {r.alias: r for r in spec.relations}
+    base = {a: pg.base_card(r) for a, r in rel.items()}
+    sel = [
+        pg.join_selectivity(
+            rel[j.left_alias].table, j.left_col, rel[j.right_alias].table, j.right_col
+        )
+        for j in spec.joins
+    ]
+    out: dict[frozenset[str], float] = {}
+    for s in connected_subsets(spec):
+        if len(s) <= n:
+            out[s] = float(max(oracle.card(spec, s), 1))
+            continue
+        if len(s) == 1:
+            out[s] = base[next(iter(s))]
+            continue
+        r = next(a for a in sorted(s, reverse=True) if spec.is_connected(s - {a}))
+        card = out[s - {r}] * base[r]
+        for j, js in zip(spec.joins, sel):
+            if r in j.aliases and j.aliases <= s:
+                card *= js
+        out[s] = max(card, 1.0)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_perfect_n_matches_reference_recursion_bit_for_bit(
+    catalog, oracle, pg_est, specs, n
+):
+    est = PerfectEstimator(n, oracle, catalog)
+    for spec in specs:
+        ref = reference_perfect(n, spec, oracle, pg_est)
+        got = {s: est.card(spec, s) for s in ref}
+        oracle.release(spec.name)
+        assert got == ref, spec.name
+
+
+def test_rewritten_spec_sees_temp_stats_added_after_first_estimate(ds, q6d):
+    catalog = analyze_pandas(ds)
+    est = PostgresEstimator(catalog)
+    est.card(q6d, q6d.aliases)  # q6d's factors exist before the temp does
+    own_oracle = TrueCardinalityOracle(ds)
+    sub = frozenset({"k", "mk"})
+    new_spec, cols = rewrite_with_temp(q6d, sub, "q6d_tmp", "q6d@1")
+    own_oracle.register_temp("q6d_tmp", q6d, sub, cols)
+    catalog.stats["q6d_tmp"] = own_oracle.temp_stats("q6d_tmp")
+    rows = catalog.table("q6d_tmp").n_rows
+    assert rows > 1
+    assert est.card(new_spec, frozenset({"q6d_tmp"})) == float(rows)

@@ -1,4 +1,6 @@
 """Unit tests for plan trees (repro.core.plans)."""
+from dataclasses import fields
+
 from repro.core.plans import Join, Leaf, Plan, join_nodes_bottom_up, leaf_aliases, walk
 
 
@@ -17,7 +19,11 @@ def test_leaf_aliases_property():
 
 
 def test_join_aliases_union():
-    assert tree().aliases == frozenset({"a", "b", "c"})
+    t = tree()
+    assert t.aliases == frozenset({"a", "b", "c"})
+    # Caching the union leaves the fields, equality and hash as they were.
+    assert [f.name for f in fields(Join)] == ["left", "right", "est_card"]
+    assert t == tree() and hash(t) == hash(tree())
 
 
 def test_walk_postorder():
