@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .plans import Leaf, PlanNode, walk
 
 
@@ -44,12 +46,14 @@ class CostModel:
     c_out: float = 1.2
     c_overhead: float = 250.0
 
-    def scan_cost(self, card: float) -> float:
+    # Both take floats or equal-length arrays (the planner prices all of
+    # a query's pairs in one call).
+    def scan_cost(self, card):
         return self.c_overhead + self.c_scan * card
 
-    def join_cost(self, left: float, right: float, out: float) -> float:
+    def join_cost(self, left, right, out):
         """Hash join: build the smaller side, probe the larger."""
-        build, probe = min(left, right), max(left, right)
+        build, probe = np.minimum(left, right), np.maximum(left, right)
         return (
             self.c_overhead
             + self.c_build * build

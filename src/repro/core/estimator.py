@@ -15,22 +15,32 @@ technique, seeded by the (perfect) estimate of a size-(k-1) sub-subset
 — so perfect-(n+1) strictly refines perfect-(n), and perfect-(0) is
 exactly the PostgreSQL estimator.
 
-Both memoize per ``(spec.name, subset)``; one estimate per "joinrel",
-as in PostgreSQL — which is what the paper's Table I counts. Like
-PostgreSQL's ``set_baserel_size_estimates``, the PG estimator sizes each
-base relation once per query: on the first estimate for a
+The planner asks for all of a query's estimates at once:
+``cards(spec, masks)`` returns one float64 per connected subset, where
+bit ``i`` of a mask stands for ``spec.graph.aliases[i]``; ``card(spec,
+subset)`` is the one-subset form. Every distinct connected subset the
+planner requests is one estimate, as one "joinrel" is in PostgreSQL —
+which is what the paper's Table I counts.
+
+Like PostgreSQL's ``set_baserel_size_estimates``, the PG estimator sizes
+each base relation once per query: on the first estimate for a
 ``spec.name`` it builds that spec's :class:`Factors` (every base
 cardinality and join selectivity), and each estimate, under either
-estimator, multiplies factors from it. The memo and the factor table
-share the ``spec.name`` key, so both rely on one condition: within one
-estimator, a name always stands for the same spec, and the statistics
-of its tables do not change after its first estimate. Re-optimization
-keeps it: every rewritten spec gets a fresh name, and its temp table's
-statistics are in the catalog before that name is first estimated.
+estimator, multiplies factors from it. The PG estimator keeps no other
+state: ``cards`` multiplies the factor table for a whole batch of masks
+with numpy, in the order the scalar product used. The factor table (and
+perfect-(n)'s memo of ``(spec.name, subset)`` estimates) relies on one
+condition: within one estimator, a name always stands for the same
+spec, and the statistics of its tables do not change after its first
+estimate. Re-optimization keeps it: every rewritten spec gets a fresh
+name, and its temp table's statistics are in the catalog before that
+name is first estimated.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
+
+import numpy as np
 
 from .query import QuerySpec, Relation
 from .stats import (
@@ -49,6 +59,10 @@ class Factors(NamedTuple):
     base: dict[str, float]
     #: (left alias, right alias, join selectivity), in ``spec.joins`` order.
     joins: tuple[tuple[str, str, float], ...]
+    #: the ``spec.graph`` mask each factor needs in a subset (base
+    #: cardinalities, then joins), and the factors, in the same order.
+    need: np.ndarray
+    value: np.ndarray
 
 
 class PostgresEstimator:
@@ -56,54 +70,56 @@ class PostgresEstimator:
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self._memo: dict[tuple[str, frozenset[str]], float] = {}
         self._factors: dict[str, Factors] = {}
 
     # -- public API ----------------------------------------------------
     def card(self, spec: QuerySpec, subset: frozenset[str]) -> float:
         """Estimated cardinality of the connected subset ``subset``."""
-        key = (spec.name, subset)
-        if key not in self._memo:
-            self._memo[key] = self._estimate(spec, subset)
-        return self._memo[key]
+        return float(self.cards(spec, [spec.graph.mask(subset)])[0])
+
+    def cards(self, spec: QuerySpec, masks) -> np.ndarray:
+        """Estimated cardinalities of connected subsets given as
+        ``spec.graph`` masks."""
+        f = self.factors(spec)
+        # Row i multiplies base cardinalities, then selectivities, each in
+        # spec order, with an exact 1.0 for a factor outside mask i: bit
+        # for bit the scalar product over the subset, and hash-seed free.
+        masks = np.asarray(masks, dtype=np.int64)[:, None]
+        factors = np.where((masks & f.need) == f.need, f.value, 1.0)
+        return np.maximum(np.multiply.reduce(factors, axis=1), 1.0)
 
     def factors(self, spec: QuerySpec) -> Factors:
         """``spec``'s base cardinalities and join selectivities, built on
         the first call for ``spec.name``."""
         f = self._factors.get(spec.name)
         if f is None:
+            base = {r.alias: self.base_card(r) for r in spec.relations}
+            joins = tuple(
+                (
+                    j.left_alias,
+                    j.right_alias,
+                    self.join_selectivity(
+                        spec.relation(j.left_alias).table,
+                        j.left_col,
+                        spec.relation(j.right_alias).table,
+                        j.right_col,
+                    ),
+                )
+                for j in spec.joins
+            )
+            bit = {a: 1 << i for i, a in enumerate(spec.graph.aliases)}
             f = self._factors[spec.name] = Factors(
-                base={r.alias: self.base_card(r) for r in spec.relations},
-                joins=tuple(
-                    (
-                        j.left_alias,
-                        j.right_alias,
-                        self.join_selectivity(
-                            spec.relation(j.left_alias).table,
-                            j.left_col,
-                            spec.relation(j.right_alias).table,
-                            j.right_col,
-                        ),
-                    )
-                    for j in spec.joins
+                base=base,
+                joins=joins,
+                need=np.array(
+                    [bit[a] for a in base] + [bit[l] | bit[r] for l, r, _ in joins],
+                    dtype=np.int64,
                 ),
+                value=np.array([*base.values(), *(sel for _, _, sel in joins)]),
             )
         return f
 
     # -- internals -----------------------------------------------------
-    def _estimate(self, spec: QuerySpec, subset: frozenset[str]) -> float:
-        # Base cardinalities, then selectivities, each in spec order:
-        # the product is hash-seed free.
-        f = self.factors(spec)
-        card = 1.0
-        for alias, base in f.base.items():
-            if alias in subset:
-                card *= base
-        for left, right, sel in f.joins:
-            if left in subset and right in subset:
-                card *= sel
-        return max(card, 1.0)
-
     def base_card(self, rel: Relation) -> float:
         """|table| × ∏ filter selectivities (independence)."""
         ts = self.catalog.table(rel.table)
@@ -147,6 +163,11 @@ class PerfectEstimator:
     @property
     def catalog(self) -> Catalog:
         return self.pg.catalog
+
+    def cards(self, spec: QuerySpec, masks) -> np.ndarray:
+        """:meth:`card` of each ``spec.graph`` mask, in turn."""
+        subset = spec.graph.subset
+        return np.array([self.card(spec, subset(m)) for m in np.asarray(masks).tolist()])
 
     def card(self, spec: QuerySpec, subset: frozenset[str]) -> float:
         key = (spec.name, subset)

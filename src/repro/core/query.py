@@ -265,6 +265,33 @@ class JoinGraph:
                 self._grow(1 << i, self.nbr[i], x | (n & ((2 << i) - 1)), out)
         return out
 
+    def tree_cuts(self) -> list[tuple[int, int]] | None:
+        """``(edge, side)`` masks of every edge if the graph is a tree, else None.
+
+        ``edge`` holds the edge's two endpoints and ``side`` one endpoint's
+        component of the tree with that edge removed, so a connected
+        subset ``m`` holding both endpoints splits into the connected
+        halves ``m & side`` and ``m & ~side``.
+        """
+        n = len(self.nbr)
+        if sum(m.bit_count() for m in self.nbr) != 2 * (n - 1):
+            return None
+        # Root the tree at relation 0; each edge's side is its child's subtree.
+        parent = [0] * n
+        order, seen = [0], 1
+        for v in order:
+            new = self.nbr[v] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                parent[low.bit_length() - 1] = v
+                order.append(low.bit_length() - 1)
+                new ^= low
+        below = [1 << v for v in range(n)]
+        for v in reversed(order[1:]):
+            below[parent[v]] |= below[v]
+        return [(1 << v | 1 << parent[v], below[v]) for v in order[1:]]
+
     def _grow(self, s: int, s_nbr: int, x: int, out: list[int]) -> None:
         """EnumerateCsgRec: append each connected ``s | sub`` for non-empty
         ``sub`` drawn from ``s``'s neighbours outside ``x``, recursively.
@@ -288,39 +315,6 @@ class JoinGraph:
             self._grow(s | sub, sub_nbr, x, out)
 
 
-def connected_subset_masks(
-    spec: QuerySpec, max_size: int | None = None
-) -> dict[int, frozenset[str]]:
-    """:func:`connected_subsets` keyed by their ``spec.graph`` masks."""
-    g = spec.graph
-    n = len(g.aliases)
-    max_size = max_size or n
-
-    def order(m: int) -> tuple[int, int]:
-        # Within one size, sorted alias tuples compare at the lowest
-        # member the two sets do not share: the set holding it comes
-        # first. Reversing the bits makes that member the highest bit.
-        return m.bit_count(), -int(f"{m:0{n}b}"[::-1], 2)
-
-    out: dict[int, frozenset[str]] = {}
-    for m in sorted((m for m in g.csgs() if m.bit_count() <= max_size), key=order):
-        if m & (m - 1) == 0:
-            out[m] = frozenset({g.aliases[m.bit_length() - 1]})
-            continue
-        # Extend a connected subset one smaller by union (which sizes
-        # the set's hash table for its length), as every connected set
-        # of two or more members has a member whose removal keeps it
-        # connected.
-        rest = m
-        while rest:
-            low = rest & -rest
-            if m ^ low in out:
-                out[m] = out[m ^ low] | {g.aliases[low.bit_length() - 1]}
-                break
-            rest ^= low
-    return out
-
-
 def connected_subsets(
     spec: QuerySpec, max_size: int | None = None
 ) -> list[frozenset[str]]:
@@ -330,4 +324,15 @@ def connected_subsets(
     "joinrels" a Selinger-style DP considers — one cardinality estimate
     each.
     """
-    return list(connected_subset_masks(spec, max_size).values())
+    g = spec.graph
+    n = len(g.aliases)
+    max_size = n if max_size is None else max_size
+
+    def order(m: int) -> tuple[int, int]:
+        # Within one size, sorted alias tuples compare at the lowest
+        # member the two sets do not share: the set holding it comes
+        # first. Reversing the bits makes that member the highest bit.
+        return m.bit_count(), -int(f"{m:0{n}b}"[::-1], 2)
+
+    masks = sorted((m for m in g.csgs() if m.bit_count() <= max_size), key=order)
+    return [g.subset(m) for m in masks]

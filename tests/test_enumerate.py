@@ -7,12 +7,13 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core.cost import CostModel
-from repro.core.enumerate import plan_query
+from repro.core.enumerate import _pairs, plan_query
 from repro.core.estimator import PostgresEstimator
 from repro.core.plans import Join, Leaf, Plan, walk
 from repro.core.query import JoinEdge, QuerySpec, Relation, connected_subsets
@@ -165,6 +166,9 @@ class StubEstimator:
         key = f"{self.seed}:{','.join(sorted(subset))}"
         return float(random.Random(key).randint(1, self.top))
 
+    def cards(self, spec, masks):
+        return [self.card(spec, spec.graph.subset(m)) for m in masks.tolist()]
+
 
 @pytest.mark.parametrize(
     "shape,n",
@@ -247,6 +251,47 @@ def test_dpccp_matches_submask_dp(spec, seed, top):
     assert pr.est_by_size == ref_sizes
     assert set(est.calls.values()) == {1}  # one estimate per connected set
     assert connected_subsets(spec) == ref_subsets
+
+
+def cmp_pairs(g):
+    """DPccp's unordered csg-cmp pairs as (union, lower half) masks."""
+    return {(s1 | s2, min(s1, s2)) for s1 in g.csgs() for s2 in g.cmps(s1)}
+
+
+def edge_cut_pairs(g):
+    """The planner's pairs of a tree as (union, lower half) masks."""
+    assert g.tree_cuts() is not None
+    csgs = np.array(g.csgs(), dtype=np.int64)
+    u, lo, _ = _pairs(g, csgs, pos=None)
+    return set(zip(csgs[u].tolist(), lo.tolist()))
+
+
+@st.composite
+def trees(draw):
+    """Random trees over 1-17 relations, in shuffled relation order."""
+    n = draw(st.integers(1, 17))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    return graph_spec(n, edges, draw(st.permutations(range(n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees())
+def test_edge_cut_pairs_equal_dpccp_pairs_on_trees(spec):
+    pairs = edge_cut_pairs(spec.graph)
+    assert pairs == cmp_pairs(spec.graph)
+    pr = plan_query(spec, StubEstimator(), CostModel())
+    assert pr.n_pairs == len(pairs)
+    assert pr.n_pairs == sum(len(s) - 1 for s in connected_subsets(spec))
+
+
+def test_edge_cut_pairs_equal_dpccp_pairs_on_job_lite(specs):
+    for spec in specs:
+        assert edge_cut_pairs(spec.graph) == cmp_pairs(spec.graph), spec.name
+
+
+def test_tree_cuts_only_for_trees():
+    assert graph_spec(3, [(0, 1), (1, 2)]).graph.tree_cuts() == [(0b011, 0b110), (0b110, 0b100)]
+    assert graph_spec(3, [(0, 1), (1, 2), (0, 2)]).graph.tree_cuts() is None
 
 
 # -- plans do not depend on PYTHONHASHSEED ------------------------------

@@ -1,4 +1,5 @@
 """Cardinality estimator tests: PG-style formulas and perfect-(n)."""
+import numpy as np
 import pytest
 
 from repro.core.estimator import PerfectEstimator, PostgresEstimator
@@ -83,11 +84,52 @@ def test_nasdaq_skew_underestimated(pg_est, oracle):
     assert true > 8 * est
 
 
-def test_estimates_memoized(catalog, q6d):
+def test_card_equals_cards(catalog, q6d):
     est = PostgresEstimator(catalog)
-    a = est.card(q6d, q6d.aliases)
-    assert est.card(q6d, q6d.aliases) == a
-    assert (q6d.name, q6d.aliases) in est._memo
+    subsets = connected_subsets(q6d)
+    batch = est.cards(q6d, [q6d.graph.mask(s) for s in subsets])
+    assert batch.dtype == np.float64
+    assert batch.tolist() == [est.card(q6d, s) for s in subsets]
+
+
+def reference_pg(spec, pg, subset):
+    """The PG estimate of ``subset`` as one scalar product: base
+    cardinalities in ``spec.relations`` order, then join selectivities in
+    ``spec.joins`` order, clamped at 1."""
+    card = 1.0
+    for r in spec.relations:
+        if r.alias in subset:
+            card *= pg.base_card(r)
+    for j in spec.joins:
+        if j.aliases <= subset:
+            card *= pg.join_selectivity(
+                spec.relation(j.left_alias).table, j.left_col,
+                spec.relation(j.right_alias).table, j.right_col,
+            )
+    return max(card, 1.0)
+
+
+def assert_cards_match_reference(spec, est):
+    subsets = connected_subsets(spec)
+    got = est.cards(spec, [spec.graph.mask(s) for s in subsets]).tolist()
+    ref = [reference_pg(spec, est, s) for s in subsets]
+    assert [x.hex() for x in got] == [x.hex() for x in ref], spec.name
+
+
+def test_pg_cards_match_reference_product_bit_for_bit(catalog, specs):
+    est = PostgresEstimator(catalog)
+    for spec in specs:
+        assert_cards_match_reference(spec, est)
+
+
+def test_pg_cards_of_rewritten_spec_match_reference_product(ds, q6d):
+    catalog = analyze_pandas(ds)
+    own_oracle = TrueCardinalityOracle(ds)
+    sub = frozenset({"k", "mk"})
+    new_spec, cols = rewrite_with_temp(q6d, sub, "q6d_tmp", "q6d@1")
+    own_oracle.register_temp("q6d_tmp", q6d, sub, cols)
+    catalog.stats["q6d_tmp"] = own_oracle.temp_stats("q6d_tmp")
+    assert_cards_match_reference(new_spec, PostgresEstimator(catalog))
 
 
 def test_join_estimate_at_least_one(pg_est, q6d):

@@ -3,8 +3,8 @@
 A filter selecting few-but-popular symbols makes the uniformity
 assumption underestimate the join size by an order of magnitude or
 more. Reproduced on IMDB-lite (keyword ≙ companies, movie_keyword ≙
-trades) and on a literal companies/trades pair built from the
-synth_data zipf generator.
+trades) and on a literal companies/trades pair whose trades draw
+company ids from a Zipf-like distribution.
 """
 import numpy as np
 import pandas as pd

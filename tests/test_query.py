@@ -196,6 +196,10 @@ def test_connected_subsets_max_size():
     assert len(subs) == 5 + 4
 
 
+def test_connected_subsets_max_size_zero_is_empty():
+    assert connected_subsets(chain(3), max_size=0) == []
+
+
 def test_connected_subsets_sorted_by_size():
     subs = connected_subsets(chain(4))
     sizes = [len(s) for s in subs]
