@@ -76,19 +76,12 @@ class QueryRun:
 class Harness:
     """Runs the workload; accumulates :class:`QueryRun` records."""
 
-    def __init__(
-        self,
-        ds: Dataset,
-        catalog: Catalog,
-        *,
-        cost: CostModel | None = None,
-        sim: ExecutionSimulator | None = None,
-    ):
+    def __init__(self, ds: Dataset, catalog: Catalog):
         self.ds = ds
         self.catalog = catalog
         self.oracle = TrueCardinalityOracle(ds)
-        self.cost = cost or CostModel()
-        self.sim = sim or ExecutionSimulator()
+        self.cost = CostModel()
+        self.sim = ExecutionSimulator()
         self._estimators: dict[int | None, object] = {}
 
     # -- estimators (shared across queries, built lazily) --------------
@@ -140,11 +133,7 @@ class Harness:
         return run
 
     def run_workload(
-        self,
-        specs: list[QuerySpec],
-        configs: list[Config],
-        *,
-        progress=None,
+        self, specs: list[QuerySpec], configs: list[Config]
     ) -> dict[str, dict[str, QueryRun]]:
         """All queries × all configs → ``{config: {query: run}}``."""
         out: dict[str, dict[str, QueryRun]] = {c.name: {} for c in configs}
@@ -152,8 +141,6 @@ class Harness:
             for config in configs:
                 out[config.name][spec.name] = self.run_query(spec, config)
             self.oracle.release(spec.name)
-            if progress is not None:
-                progress(spec.name)
         return out
 
     # -- optional Spark wall-clock pass --------------------------------

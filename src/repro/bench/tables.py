@@ -1,9 +1,10 @@
 """Reproductions of the paper's evaluation tables (I, II, III, VI).
 
 Each ``tableN`` function computes our numbers; ``PAPER_TABLEN`` holds
-the published numbers so jobs/benchmarks print them side by side (the
-substrate differs, so the *shape* — not the absolute values — is the
-claim under test; see EXPERIMENTS.md).
+the published numbers, and :func:`render` lays the two out side by side
+for ``python -m repro.bench`` and ``benchmarks/`` (the substrate
+differs, so the *shape* — not the absolute values — is the claim under
+test; see EXPERIMENTS.md).
 """
 from __future__ import annotations
 
@@ -24,11 +25,8 @@ PAPER_TABLE1: dict[int, int] = {
 }
 
 
-def table1(
-    specs: list[QuerySpec], estimator, cost: CostModel | None = None
-) -> dict[int, int]:
+def table1(specs: list[QuerySpec], estimator, cost: CostModel) -> dict[int, int]:
     """Plan every query; count cardinality estimates by subset size."""
-    cost = cost or CostModel()
     total: Counter = Counter()
     for spec in specs:
         total.update(plan_query(spec, estimator, cost).est_by_size)
@@ -111,13 +109,7 @@ def table3(specs: list[QuerySpec]) -> dict[int, int]:
 
 # -- rendering ---------------------------------------------------------
 
-def render(
-    title: str,
-    ours: dict,
-    paper: dict,
-    key_header: str,
-    val_header: str = "count",
-) -> str:
+def render(title: str, ours: dict, paper: dict, key_header: str) -> str:
     """Side-by-side 'paper vs ours' fixed-width table."""
     keys = list(dict.fromkeys(list(paper) + list(ours)))
     lines = [

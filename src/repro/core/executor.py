@@ -23,29 +23,13 @@ from pyspark.sql import functions as F
 
 from ..imdb.gen import Dataset
 from .plans import Leaf, PlanNode, walk
-from .query import Filter, QuerySpec
+from .query import QuerySpec
 from .truecard import TrueCardinalityOracle
 
 
 def qualified(alias: str, col: str) -> str:
     """The executor-wide column naming scheme."""
     return f"{alias}__{col}"
-
-
-def _filter_cond(col, f: Filter):
-    if f.op == "=":
-        return col == f.value
-    if f.op == "in":
-        return col.isin(list(f.value))
-    if f.op == "<":
-        return col < f.value
-    if f.op == "<=":
-        return col <= f.value
-    if f.op == ">":
-        return col > f.value
-    if f.op == ">=":
-        return col >= f.value
-    raise ValueError(f.op)
 
 
 @dataclass
@@ -76,7 +60,7 @@ class SparkExecutor:
         rel = spec.relation(alias)
         df = self._table_df(rel.table)
         for f in rel.filters:
-            df = df.where(_filter_cond(df[f.col], f))
+            df = df.where(f.mask(df[f.col]))
         return df.select(
             *[F.col(c).alias(qualified(alias, c)) for c in df.columns]
         )

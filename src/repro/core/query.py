@@ -11,8 +11,12 @@ Aliases are first-class (JOB reuses tables under several aliases, e.g.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from functools import cached_property
+
+_CMP = {"=": operator.eq, "<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -27,10 +31,8 @@ class Filter:
     op: str
     value: object
 
-    _OPS = ("=", "<", "<=", ">", ">=", "in")
-
     def __post_init__(self) -> None:
-        if self.op not in self._OPS:
+        if self.op not in _CMP and self.op != "in":
             raise ValueError(f"unsupported op {self.op!r}")
         if self.op == "in" and not isinstance(self.value, tuple):
             raise ValueError("'in' filter value must be a tuple")
@@ -41,6 +43,12 @@ class Filter:
             vals = ", ".join(_sql_literal(v) for v in self.value)
             return f"{alias}.{self.col} IN ({vals})"
         return f"{alias}.{self.col} {self.op} {_sql_literal(self.value)}"
+
+    def mask(self, col):
+        """``col op value`` on a pandas ``Series`` or a Spark ``Column``."""
+        if self.op == "in":
+            return col.isin(list(self.value))
+        return _CMP[self.op](col, self.value)
 
 
 def _sql_literal(v: object) -> str:
@@ -59,9 +67,6 @@ class Relation:
     alias: str
     table: str
     filters: tuple[Filter, ...] = ()
-
-    def with_filters(self, *fs: Filter) -> "Relation":
-        return replace(self, filters=self.filters + fs)
 
 
 @dataclass(frozen=True)
@@ -141,10 +146,6 @@ class QuerySpec:
         """The join graph as bitmask adjacency, built once per spec."""
         return JoinGraph(self)
 
-    def neighbors(self, alias: str) -> frozenset[str]:
-        g = self.graph
-        return g.subset(g.nbr[g.index[alias]]) if alias in g.index else frozenset()
-
     def edges_between(
         self, left: frozenset[str], right: frozenset[str]
     ) -> tuple[JoinEdge, ...]:
@@ -161,41 +162,46 @@ class QuerySpec:
         g = self.graph
         return subset <= g.index.keys() and g.is_connected(g.mask(subset))
 
-    # -- SQL rendering -------------------------------------------------
-    def where_sql(self, subset: frozenset[str] | None = None) -> str:
-        """WHERE clause (filters + join conds) restricted to ``subset``."""
-        subset = subset if subset is not None else self.aliases
-        conds: list[str] = []
-        for r in self.relations:
-            if r.alias in subset:
-                conds += [f.sql(r.alias) for f in r.filters]
-        for j in self.joins:
-            if j.aliases <= subset:
-                conds.append(j.sql())
-        return " AND ".join(conds) if conds else "TRUE"
+    # -- SQL rendering (DuckDB, the tests' reference) -----------------
+    def _part(self, subset: frozenset[str] | None):
+        """Relations and join edges within ``subset`` (default: all)."""
+        subset = self.aliases if subset is None else subset
+        return (tuple(r for r in self.relations if r.alias in subset),
+                tuple(j for j in self.joins if j.aliases <= subset))
 
     def from_sql(self, subset: frozenset[str] | None = None) -> str:
-        subset = subset if subset is not None else self.aliases
-        return ", ".join(
-            f"{r.table} AS {r.alias}" for r in self.relations if r.alias in subset
-        )
+        return _from_sql(self._part(subset)[0])
+
+    def where_sql(self, subset: frozenset[str] | None = None) -> str:
+        """WHERE clause (filters + join conds) restricted to ``subset``."""
+        return _where_sql(*self._part(subset))
 
     def count_sql(self, subset: frozenset[str] | None = None) -> str:
-        """``SELECT COUNT(*)`` over the (sub)query — the oracle's workhorse."""
-        return (
-            f"SELECT COUNT(*) AS cnt FROM {self.from_sql(subset)} "
-            f"WHERE {self.where_sql(subset)}"
-        )
+        """``SELECT COUNT(*)`` over the (sub)query."""
+        return select_sql("COUNT(*) AS cnt", *self._part(subset))
 
     def result_sql(self) -> str:
-        """The query's full output SQL (COUNT + MINs), for oracle checks."""
+        """The query's full output SQL (COUNT + MINs)."""
         outs = ["COUNT(*) AS cnt"] + [
             f"MIN({a}.{c}) AS min_{a}_{c}" for a, c in self.min_cols
         ]
-        return (
-            f"SELECT {', '.join(outs)} FROM {self.from_sql()} "
-            f"WHERE {self.where_sql()}"
-        )
+        return select_sql(", ".join(outs), self.relations, self.joins)
+
+
+def select_sql(select: str, relations, joins) -> str:
+    """``SELECT select`` over ``relations`` (with their filters) joined on
+    ``joins``: the one SQL rendering of a conjunctive query."""
+    return (f"SELECT {select} FROM {_from_sql(relations)} "
+            f"WHERE {_where_sql(relations, joins)}")
+
+
+def _from_sql(relations) -> str:
+    return ", ".join(f"{r.table} AS {r.alias}" for r in relations)
+
+
+def _where_sql(relations, joins) -> str:
+    conds = [f.sql(r.alias) for r in relations for f in r.filters]
+    return " AND ".join(conds + [j.sql() for j in joins]) or "TRUE"
 
 
 class JoinGraph:

@@ -3,16 +3,14 @@
 Mirrors what ``ANALYZE`` with a high ``default_statistics_target``
 gives the PostgreSQL planner (paper §III-A): row count, n_distinct,
 a most-common-values (MCV) list with frequencies, an equi-depth
-histogram over the non-MCV remainder, and min/max. Built with Spark
-aggregations over the same DataFrames the executor joins.
+histogram over the non-MCV remainder, and min/max. Built with pandas
+from the generator's ground-truth frames, the same rows the Spark
+executor joins and the oracle counts.
 """
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from ..imdb.gen import Dataset
 
@@ -33,10 +31,6 @@ class ColumnStats:
     @property
     def mcv_frac(self) -> float:
         return sum(f for _, f in self.mcvs)
-
-    @property
-    def mcv_values(self) -> set:
-        return {v for v, _ in self.mcvs}
 
 
 @dataclass(frozen=True)
@@ -59,81 +53,17 @@ class Catalog:
         return self.stats[table].columns[col]
 
 
-_NUMERIC = {"int", "bigint", "smallint", "double", "float", "decimal"}
+#: Equi-depth histogram buckets per column.
+HIST_BINS = 100
 
 
-def _is_numeric(dtype: str) -> bool:
-    return any(dtype.startswith(t) for t in _NUMERIC)
+def analyze_pandas_table(pdf, table: str, *, mcv_target: int = 100) -> TableStats:
+    """Compute :class:`TableStats` for one pandas DataFrame.
 
-
-def analyze_table(
-    df: DataFrame, table: str, *, mcv_target: int = 100, hist_bins: int = 100
-) -> TableStats:
-    """Compute :class:`TableStats` for one Spark DataFrame.
-
-    ``mcv_target``/``hist_bins`` play the role of PostgreSQL's
+    ``mcv_target`` and ``HIST_BINS`` play the role of PostgreSQL's
     ``default_statistics_target`` (the paper maxes it out; 100 is
     plenty for IMDB-lite's value domains).
     """
-    n_rows = df.count()
-    cols: dict[str, ColumnStats] = {}
-    for name, dtype in df.dtypes:
-        if dtype.startswith(("timestamp", "date", "array", "map", "struct")):
-            continue
-        aggs = df.agg(
-            F.count_distinct(F.col(name)).alias("ndv"),
-            F.min(name).alias("mn"),
-            F.max(name).alias("mx"),
-        ).collect()[0]
-        top = (
-            df.groupBy(name)
-            .count()
-            .orderBy(F.desc("count"), F.asc(name))
-            .limit(mcv_target)
-            .collect()
-        )
-        mcvs = tuple(
-            (r[name], r["count"] / n_rows) for r in top if r[name] is not None
-        )
-        hist = None
-        if _is_numeric(dtype) and aggs["ndv"] and aggs["ndv"] > len(mcvs):
-            mcv_vals = {v for v, _ in mcvs}
-            rest = df.where(~F.col(name).isin(list(mcv_vals)))
-            qs = rest.approxQuantile(
-                name, [i / hist_bins for i in range(hist_bins + 1)], 0.01
-            )
-            hist = tuple(float(q) for q in qs) if qs else None
-        cols[name] = ColumnStats(
-            n_rows=n_rows,
-            ndv=int(aggs["ndv"]),
-            min_val=aggs["mn"],
-            max_val=aggs["mx"],
-            mcvs=mcvs,
-            hist=hist,
-        )
-    return TableStats(table=table, n_rows=n_rows, columns=cols)
-
-
-def analyze(spark: SparkSession, ds: Dataset, **kw) -> Catalog:
-    """ANALYZE every table of an IMDB-lite dataset."""
-    return Catalog(
-        {t: analyze_table(ds.spark_df(spark, t), t, **kw) for t in ds.tables}
-    )
-
-
-# ---------------------------------------------------------------------
-# pandas fast path.
-# ---------------------------------------------------------------------
-# ``analyze`` above is the production path (Spark aggregations over the
-# executor's own DataFrames). The pure-simulation harness and temp-table
-# re-analysis use this pandas equivalent: same statistics, computed on
-# the driver from the ground-truth frames (PostgreSQL likewise gets
-# temp-table stats for free at materialization time).
-
-def analyze_pandas_table(
-    pdf, table: str, *, mcv_target: int = 100, hist_bins: int = 100
-) -> TableStats:
-    """pandas equivalent of :func:`analyze_table` (same stats contract)."""
     import pandas as pd
 
     n = len(pdf)
@@ -151,7 +81,7 @@ def analyze_pandas_table(
         if numeric and n and ndv > len(mcvs):
             rest = pdf.loc[~pdf[c].isin({v for v, _ in mcvs}), c]
             if len(rest):
-                qs = rest.quantile([i / hist_bins for i in range(hist_bins + 1)])
+                qs = rest.quantile([i / HIST_BINS for i in range(HIST_BINS + 1)])
                 hist = tuple(float(q) for q in qs)
         cols[c] = ColumnStats(
             n_rows=n,
@@ -169,11 +99,9 @@ def _pynative(v):
     return v.item() if hasattr(v, "item") else v
 
 
-def analyze_pandas(ds: Dataset, **kw) -> Catalog:
-    """ANALYZE from the pandas ground truth (no Spark jobs)."""
-    return Catalog(
-        {t: analyze_pandas_table(ds.tables[t], t, **kw) for t in ds.tables}
-    )
+def analyze_pandas(ds: Dataset) -> Catalog:
+    """ANALYZE every table of an IMDB-lite dataset."""
+    return Catalog({t: analyze_pandas_table(ds.tables[t], t) for t in ds.tables})
 
 
 # ---------------------------------------------------------------------

@@ -35,7 +35,6 @@ configs, so each distinct sub-join is counted once.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,20 +43,11 @@ import pandas as pd
 import duckdb
 
 from ..imdb.gen import Dataset
-from .query import Filter, JoinEdge, QuerySpec, Relation
+from .query import JoinEdge, QuerySpec, Relation, select_sql
 
 _I64_MAX = 2**63 - 1
 #: float64 holds every integer below this, so ``bincount`` sums are exact.
 _F64_EXACT = 2**53
-
-
-_CMP = {"=": operator.eq, "<": operator.lt, "<=": operator.le,
-        ">": operator.gt, ">=": operator.ge}
-
-
-def _apply_filter(pdf: pd.DataFrame, f: Filter) -> pd.DataFrame:
-    col = pdf[f.col]
-    return pdf[col.isin(f.value) if f.op == "in" else _CMP[f.op](col, f.value)]
 
 
 @dataclass(frozen=True)
@@ -147,7 +137,8 @@ class TrueCardinalityOracle:
 
     def _count(self, flat: _Flat) -> int:
         if not self._is_tree(flat):
-            return int(self._duck().execute(_flat_sql(flat, "COUNT(*)")).fetchone()[0])
+            sql = select_sql("COUNT(*)", flat.relations, flat.joins)
+            return int(self._duck().execute(sql).fetchone()[0])
         root = min(flat.relations, key=lambda r: r.alias)
         w = self._root_weights(flat, root.alias)
         return len(self._leaf(root)) if w is None else _total(w)
@@ -181,7 +172,8 @@ class TrueCardinalityOracle:
         for a, c in spec.min_cols:
             ba, bc = self._base_col(spec, a, c)
             outs.append(f"MIN({ba}.{bc}) AS min_{a}_{c}")
-        return self._duck().execute(_flat_sql(flat, ", ".join(outs))).fetchdf()
+        sql = select_sql(", ".join(outs), flat.relations, flat.joins)
+        return self._duck().execute(sql).fetchdf()
 
     # -- Yannakakis counting over tree-shaped flats --------------------
     def _leaf(self, rel: Relation) -> pd.DataFrame:
@@ -189,7 +181,7 @@ class TrueCardinalityOracle:
         if key not in self._leaf_cache:
             pdf = self._tables[rel.table]
             for f in rel.filters:
-                pdf = _apply_filter(pdf, f)
+                pdf = pdf[f.mask(pdf[f.col])]
             self._leaf_cache[key] = pdf
         return self._leaf_cache[key]
 
@@ -243,7 +235,8 @@ class TrueCardinalityOracle:
         """
         flat = self._expand(spec, subset)
         if not self._is_tree(flat):
-            sql = _flat_sql(flat, f"{alias}.{col} AS v, COUNT(*) AS c") + " GROUP BY 1"
+            sel = f"{alias}.{col} AS v, COUNT(*) AS c"
+            sql = select_sql(sel, flat.relations, flat.joins) + " GROUP BY 1"
             pdf = self._duck().execute(sql).fetchdf()
             return pd.Series(pdf["c"].to_numpy(), index=pdf["v"].to_numpy())
         w = self._root_weights(flat, alias)
@@ -344,11 +337,3 @@ def _canon(relations, joins) -> tuple:
     rels = sorted((r.alias, r.table, r.filters) for r in relations)
     edges = sorted(tuple(sorted((a, j.side(a)[0]) for a in j.aliases)) for j in joins)
     return tuple(rels), tuple(edges)
-
-
-def _flat_sql(flat: _Flat, select: str) -> str:
-    """``SELECT select`` over the sub-query, for DuckDB."""
-    rels = ", ".join(f"{r.table} AS {r.alias}" for r in flat.relations)
-    conds = [f.sql(r.alias) for r in flat.relations for f in r.filters]
-    conds += [j.sql() for j in flat.joins]
-    return f"SELECT {select} FROM {rels} WHERE {' AND '.join(conds) or 'TRUE'}"

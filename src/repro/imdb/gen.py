@@ -234,11 +234,6 @@ class Dataset:
             self._spark_cache[table] = spark.createDataFrame(self.tables[table])
         return self._spark_cache[table]
 
-    def register_views(self, spark: SparkSession) -> None:
-        """Create a temp view per table (``imdb_<name>``)."""
-        for t in self.tables:
-            self.spark_df(spark, t).createOrReplaceTempView(f"imdb_{t}")
-
 
 def generate(sf: float = 0.01, seed: int = 42) -> Dataset:
     """Generate the full IMDB-lite database at scale factor ``sf``."""

@@ -87,9 +87,6 @@ class _Builder:
         self.relations.append((alias, table))
         return alias
 
-    def table_of(self, alias: str) -> str:
-        return dict(self.relations)[alias]
-
     def dim_moves(self) -> list[tuple]:
         """Open dimension-attachment slots (one per fact FK, plus kind)."""
         out: list[tuple] = []

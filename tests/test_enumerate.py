@@ -36,11 +36,12 @@ def plan_is_valid(spec, root):
 
 def prefixes_connected(spec: QuerySpec, order: list[str]) -> bool:
     """True iff every prefix of the join order induces a connected set."""
-    cur = {order[0]}
+    g = spec.graph
+    cur = g.mask([order[0]])
     for a in order[1:]:
-        if not (spec.neighbors(a) & cur):
+        if not (g.nbr[g.index[a]] & cur):
             return False
-        cur.add(a)
+        cur |= g.mask([a])
     return True
 
 

@@ -56,6 +56,7 @@ def test_leaf_df_filter_ops(executor, ds, op, col, val):
         ">=": lambda: (pdf[col] >= val).sum(),
     }[op]()
     assert got == expected
+    assert Filter(col, op, val).mask(pdf[col]).sum() == expected
 
 
 def test_node_df_counts_match_oracle(executor, oracle):

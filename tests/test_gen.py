@@ -111,5 +111,3 @@ def test_spark_df_cache_and_views(spark, small):
     df2 = small.spark_df(spark, "keyword")
     assert df1 is df2
     assert df1.count() == len(small.tables["keyword"])
-    small.register_views(spark)
-    assert spark.table("imdb_keyword").count() == len(small.tables["keyword"])

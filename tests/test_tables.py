@@ -72,3 +72,21 @@ def test_render_side_by_side():
 
 def test_bucket_labels_match_buckets():
     assert len(T.BUCKETS) == len(T.BUCKET_LABELS) == 5
+
+
+def printed_counts(text):
+    """``key → ours`` over the integer-keyed rows of a rendered table."""
+    rows = [line.split("|") for line in text.splitlines() if line.count("|") == 2]
+    return {int(k): int(ours) for k, _, ours in rows
+            if k.strip().isdigit() and ours.strip() != "-"}
+
+
+def test_cli_prints_tables_1_and_3(capsys, specs, pg_est, cost_model):
+    from repro.bench.__main__ import main
+
+    main(["table", "3", "--sf", "0.01"])
+    assert printed_counts(capsys.readouterr().out) == T.table3(specs)
+    main(["table", "1", "--sf", "0.01", "--seed", "42"])
+    out = capsys.readouterr().out
+    assert out.startswith("TABLE I —")
+    assert printed_counts(out) == T.table1(specs, pg_est, cost_model)
