@@ -136,4 +136,6 @@ def true_cards(
     This is the reproduction's ``EXPLAIN ANALYZE``: the per-operator
     actual row counts the re-optimizer compares against estimates.
     """
-    return {n.aliases: oracle.card(spec, n.aliases) for n in walk(root)}
+    nodes = list(walk(root))
+    counts = oracle.cards(spec, [spec.graph.mask(n.aliases) for n in nodes])
+    return {n.aliases: c for n, c in zip(nodes, counts)}

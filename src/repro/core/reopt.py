@@ -132,10 +132,10 @@ def _lowest_triggered(
     threshold: float,
 ) -> tuple[Join, int] | None:
     """Lowest non-root join whose Q-error trips the threshold."""
-    for node in join_nodes_bottom_up(root):
-        if node.aliases == spec.aliases:
-            continue  # materializing the root would *be* the query
-        truth = oracle.card(spec, node.aliases)
+    # Materializing the root would *be* the query.
+    nodes = [n for n in join_nodes_bottom_up(root) if n.aliases != spec.aliases]
+    truths = oracle.cards(spec, [spec.graph.mask(n.aliases) for n in nodes])
+    for node, truth in zip(nodes, truths):
         if triggers(node.est_card, truth, threshold):
             return node, truth
     return None

@@ -8,30 +8,43 @@ ground truth.
 
 Naively ``COUNT(*)``-ing a sub-join enumerates it — a bad 5-fact join
 has combinatorially many rows, which is precisely why bad plans are
-slow. So for **acyclic** join subgraphs (every JOB-lite query is a
-tree) the oracle counts by Yannakakis message passing (VLDB 1981): each
-subtree sends its parent a dense ``join_key → #rows`` array
-(``np.bincount`` over the key column), the parent indexes it with its
-own keys, and the count is a sum of products — linear in input size,
-never in output size. Join keys must be ints in [0, dataset rows], as
-dense surrogate IDs (all IMDB-lite keys) are. Counts are exact: int64
-products and sums are used only where a Python-int bound proves they
-fit (float64 ``bincount`` sums only below 2**53), else they promote to
-Python ints. Cyclic subsets and non-dense keys fall back to DuckDB SQL,
-whose connection is opened on first use.
+slow. So for **acyclic** join graphs (every JOB-lite query is a tree)
+the oracle counts by Yannakakis message passing (VLDB 1981), one
+message per directed edge. For a connected T holding relation c but not
+its neighbour p, msg(T, c→p) is a dense ``join_key → #rows`` array: the
+``np.bincount`` over c's key column on edge (c, p) of c's rows, each
+weighted by the product of msg(T_c′, c′→c) over c's neighbours c′ in T
+(T_c′ is c′'s side of T). A connected S of two or more relations is one
+dot product across one of its edges (u, v), msg(S_u, u→v) · msg(S_v,
+v→u); the edge chosen is the one whose messages not yet cached read the
+fewest rows. Messages are memoized per (flat graph, T, c, p), so a
+``cards(spec, masks)`` batch shares them. All of this is linear in
+input size, never in output size. Join keys must be ints in [0, dataset
+rows], as dense surrogate IDs (all IMDB-lite keys) are.
+
+Counts are exact Python ints. The total of msg(T, c→p) is the count of
+T and travels with the message, so a row's weight is at most the
+product of the totals coming into it, and a dot product at most the
+product of its two totals. These Python-int bounds choose the
+arithmetic: int64 where the result provably fits, float64 ``bincount``
+only when the total is below 2**53, else Python-int object arrays.
+Whether a spec is a tree on dense keys is decided once per spec; cyclic
+graphs and non-dense keys fall back to DuckDB SQL, whose connection is
+opened on first use.
 
 Re-optimization temp tables are **virtual** here: ``register_temp``
-records which sub-join a temp stands for, counting on a rewritten
-query transparently expands temps back to base relations, and
-``temp_stats`` derives the temp's exact column statistics from the
-same message passing (grouped by the column) — so the simulation path
-never materializes an intermediate, no matter how large. The *Spark*
-replay of a re-optimized query does materialize, which is the honest
-execution cost.
+records which sub-join a temp stands for, each spec is flattened once
+to base relations, and ``temp_stats`` derives the temp's exact column
+statistics from the same messages (grouped by the column) — so the
+simulation path never materializes an intermediate, no matter how
+large. The *Spark* replay of a re-optimized query does materialize,
+which is the honest execution cost.
 
-The oracle memoizes counts per canonical (sorted) sub-join; one harness
-run shares a single oracle across PG / perfect-(n) / re-optimization
-configs, so each distinct sub-join is counted once.
+Counts are memoized per canonical sub-join (relations sorted by alias;
+join edges with sorted endpoints, sorted). A rewritten spec flattens to
+its original's graph, so it reuses the original's counts and messages,
+and one harness run shares a single oracle across PG / perfect-(n) /
+re-optimization configs, so each distinct sub-join is counted once.
 """
 from __future__ import annotations
 
@@ -60,12 +73,53 @@ class _TempDef:
     cols: dict
 
 
-@dataclass(frozen=True)
-class _Flat:
-    """A fully base-level (temp-free) conjunctive sub-query."""
+class _FlatGraph:
+    """A spec with its temps flattened to base relations.
 
-    relations: tuple[Relation, ...]
-    joins: tuple[JoinEdge, ...]
+    ``spec.graph`` numbers the relations by sorted alias, and the join
+    edges are sorted by their canonical key, so a flat mask's count memo
+    key is read off in order. On a tree joined on dense keys, ``rows``
+    holds each relation's filtered row count, and ``side``, ``col`` and
+    ``size`` hold, per directed edge (x, y), x's side of the tree, x's
+    key column and the length of a message along the edge.
+    """
+
+    def __init__(self, relations, joins, dense_max, n_rows):
+        edges = sorted(((tuple(sorted((a, j.side(a)[0]) for a in j.aliases)), j)
+                        for j in joins), key=lambda e: e[0])
+        self.spec = QuerySpec("flat", tuple(sorted(relations, key=lambda r: r.alias)),
+                              tuple(j for _, j in edges))
+        self.graph = g = self.spec.graph
+        self.rel_key = tuple((r.alias, r.table, r.filters) for r in self.spec.relations)
+        self.edge_key = tuple(k for k, _ in edges)
+        self.ends = tuple((g.index[a], g.index[b]) for (a, _), (b, _) in self.edge_key)
+        self.edge_mask = tuple(1 << x | 1 << y for x, y in self.ends)
+        full = (1 << len(g.aliases)) - 1
+        self.key = self.canon(full)
+        cuts = dict(g.tree_cuts() or ())
+        self.tree = len(cuts) == len(joins) == len(g.aliases) - 1
+        self.side, self.col, self.size = {}, {}, {}
+        for (x, y), ((_, cx), (_, cy)), m in zip(self.ends, self.edge_key, self.edge_mask):
+            hi = [dense_max(self.spec.relations[v].table, c) for v, c in ((x, cx), (y, cy))]
+            self.tree = self.tree and None not in hi
+            if self.tree:
+                self.col[x, y], self.col[y, x] = cx, cy
+                # Long enough for both endpoints' keys, so no lookup reads past it.
+                self.size[x, y] = self.size[y, x] = 1 + max(hi)
+                self.side[x, y] = cuts[m] if cuts[m] >> x & 1 else full ^ cuts[m]
+                self.side[y, x] = full ^ self.side[x, y]
+        if self.tree:
+            self.rows = [n_rows(r) for r in self.spec.relations]
+
+    def canon(self, f: int) -> tuple:
+        """Count memo key of the sub-join on flat mask ``f``."""
+        return (tuple(k for i, k in enumerate(self.rel_key) if f >> i & 1),
+                tuple(k for k, m in zip(self.edge_key, self.edge_mask) if f & m == m))
+
+    def is_tree(self, key: tuple) -> bool:
+        """Whether the tree path counts the connected sub-join keyed ``key``."""
+        rels, edges = key
+        return self.tree and len(edges) == len(rels) - 1
 
 
 class TrueCardinalityOracle:
@@ -78,10 +132,16 @@ class TrueCardinalityOracle:
         self._con: duckdb.DuckDBPyConnection | None = None  # see _duck
         self._memo: dict[tuple, int] = {}
         self._temps: dict[str, _TempDef] = {}
-        #: filtered per-(table, filters) frames.
+        #: filtered per-(table, filters) frames, and their columns by
+        #: (table, filters, col).
         self._leaf_cache: dict[tuple, pd.DataFrame] = {}
-        #: subtree messages: (subtree, root, col, size) → count array.
-        self._msg_cache: dict[tuple, np.ndarray] = {}
+        self._col_cache: dict[tuple, np.ndarray] = {}
+        #: flat graphs by their memo key, so equal flattenings share messages.
+        self._graphs: dict[tuple, _FlatGraph] = {}
+        #: id(spec) → (spec, its flat graph, flat mask of each spec.graph bit).
+        self._specs: dict[int, tuple] = {}
+        #: (flat graph, T, c, p) → (msg(T, c→p), its total).
+        self._msg_cache: dict[tuple, tuple[np.ndarray, int]] = {}
         #: (table, col) → max value of a dense key column, else None.
         self._key_max: dict[tuple[str, str], int | None] = {}
         self.n_counts = 0  # cache misses (actual counting work)
@@ -95,8 +155,9 @@ class TrueCardinalityOracle:
         return self._con
 
     # -- expansion of virtual temps ------------------------------------
-    def _expand(self, spec: QuerySpec, subset: frozenset[str] | None) -> _Flat:
-        """Resolve temp relations in ``subset`` (default: all) to base tables."""
+    def _expand(self, spec: QuerySpec, subset: frozenset[str] | None):
+        """Relations and joins of ``subset`` (default: all), temps
+        resolved to base tables."""
         subset = spec.aliases if subset is None else subset
         relations: list[Relation] = []
         joins: list[JoinEdge] = []
@@ -104,9 +165,9 @@ class TrueCardinalityOracle:
             rel = spec.relation(a)
             if rel.table in self._temps:
                 td = self._temps[rel.table]
-                inner = self._expand(td.spec, td.subset)
-                relations.extend(inner.relations)
-                joins.extend(inner.joins)
+                inner_rels, inner_joins = self._expand(td.spec, td.subset)
+                relations.extend(inner_rels)
+                joins.extend(inner_joins)
             else:
                 relations.append(rel)
         joins += [
@@ -114,7 +175,7 @@ class TrueCardinalityOracle:
                      *self._base_col(spec, j.right_alias, j.right_col))
             for j in spec.joins if j.aliases <= subset
         ]
-        return _Flat(relations=tuple(relations), joins=tuple(joins))
+        return tuple(relations), tuple(joins)
 
     def _base_col(self, spec: QuerySpec, alias: str, col: str) -> tuple[str, str]:
         """``alias.col`` of ``spec`` traced through (nested) temps to a base
@@ -125,32 +186,42 @@ class TrueCardinalityOracle:
         td = self._temps[table]
         return self._base_col(td.spec, *td.cols[col])
 
+    def _flat(self, spec: QuerySpec, mask: int) -> tuple[_FlatGraph, int]:
+        """``spec``'s flat graph, built once per spec, and the flat mask of
+        its ``spec.graph`` mask ``mask``."""
+        hit = self._specs.get(id(spec))  # the entry holds spec: no id reuse
+        if hit is None:
+            g = _FlatGraph(*self._expand(spec, None), self._dense_max,
+                           lambda rel: len(self._leaf(rel)))
+            g = self._graphs.setdefault(g.key, g)
+            parts = [g.graph.mask(r.alias for r in self._expand(spec, frozenset([a]))[0])
+                     for a in spec.graph.aliases]
+            hit = self._specs[id(spec)] = (spec, g, parts)
+        _, g, parts = hit
+        return g, sum(p for i, p in enumerate(parts) if mask >> i & 1)
+
     # -- counting ------------------------------------------------------
+    def cards(self, spec: QuerySpec, masks) -> list[int]:
+        """True row counts of connected subsets of ``spec`` given as
+        ``spec.graph`` masks."""
+        return [self._count(*self._flat(spec, m))
+                for m in np.asarray(masks, dtype=np.int64).tolist()]
+
     def card(self, spec: QuerySpec, subset: frozenset[str] | None = None) -> int:
         """True row count of ``spec`` restricted to ``subset`` aliases."""
-        flat = self._expand(spec, subset)
-        key = _canon(flat.relations, flat.joins)
+        subset = spec.aliases if subset is None else subset
+        return self.cards(spec, [spec.graph.mask(subset)])[0]
+
+    def _count(self, g: _FlatGraph, f: int) -> int:
+        key = g.canon(f)
         if key not in self._memo:
             self.n_counts += 1
-            self._memo[key] = self._count(flat)
+            if g.is_tree(key):
+                self._memo[key] = self._tree_count(g, f)
+            else:
+                sql = g.spec.count_sql(g.graph.subset(f))
+                self._memo[key] = int(self._duck().execute(sql).fetchone()[0])
         return self._memo[key]
-
-    def _count(self, flat: _Flat) -> int:
-        if not self._is_tree(flat):
-            sql = select_sql("COUNT(*)", flat.relations, flat.joins)
-            return int(self._duck().execute(sql).fetchone()[0])
-        root = min(flat.relations, key=lambda r: r.alias)
-        w = self._root_weights(flat, root.alias)
-        return len(self._leaf(root)) if w is None else _total(w)
-
-    def _is_tree(self, flat: _Flat) -> bool:
-        """Whether ``flat`` is acyclic and joined on dense integer keys."""
-        pairs = {j.aliases for j in flat.joins}
-        if not len(pairs) == len(flat.joins) == len(flat.relations) - 1:
-            return False
-        table = {r.alias: r.table for r in flat.relations}
-        return all(self._dense_max(table[a], j.side(a)[0]) is not None
-                   for j in flat.joins for a in j.aliases)
 
     def _dense_max(self, table: str, col: str) -> int | None:
         """Max of ``table.col`` if all its values are ints in [0, key bound]."""
@@ -167,15 +238,14 @@ class TrueCardinalityOracle:
         Enumerates the join (unlike :meth:`card`), so only call it on
         queries whose true result is materializable — tests do.
         """
-        flat = self._expand(spec, None)
         outs = ["COUNT(*) AS cnt"]
         for a, c in spec.min_cols:
             ba, bc = self._base_col(spec, a, c)
             outs.append(f"MIN({ba}.{bc}) AS min_{a}_{c}")
-        sql = select_sql(", ".join(outs), flat.relations, flat.joins)
+        sql = select_sql(", ".join(outs), *self._expand(spec, None))
         return self._duck().execute(sql).fetchdf()
 
-    # -- Yannakakis counting over tree-shaped flats --------------------
+    # -- Yannakakis counting over tree-shaped flat graphs ----------------
     def _leaf(self, rel: Relation) -> pd.DataFrame:
         key = (rel.table, rel.filters)
         if key not in self._leaf_cache:
@@ -185,45 +255,60 @@ class TrueCardinalityOracle:
             self._leaf_cache[key] = pdf
         return self._leaf_cache[key]
 
-    def _root_weights(self, flat: _Flat, root: str) -> np.ndarray | None:
-        """Per-row join multiplicities of ``root``'s filtered rows (None:
-        all ones)."""
-        rels = {r.alias: r for r in flat.relations}
-        adj: dict[str, list[tuple[str, JoinEdge]]] = {a: [] for a in rels}
-        for j in flat.joins:
-            adj[j.left_alias].append((j.right_alias, j))
-            adj[j.right_alias].append((j.left_alias, j))
+    def _col(self, g: _FlatGraph, x: int, col: str) -> np.ndarray:
+        """Column ``col`` of relation ``x``'s filtered rows."""
+        rel = g.spec.relations[x]
+        key = (rel.table, rel.filters, col)
+        if key not in self._col_cache:
+            self._col_cache[key] = self._leaf(rel)[col].to_numpy()
+        return self._col_cache[key]
 
-        def subtree(alias: str, parent: str | None):
-            rs, js = [rels[alias]], []
-            for child, edge in adj[alias]:
-                if child != parent:
-                    crs, cjs = subtree(child, alias)
-                    rs += crs
-                    js += cjs + [edge]
-            return rs, js
+    def _tree_count(self, g: _FlatGraph, f: int) -> int:
+        """Count of the connected sub-join on ``f``: a dot product across
+        the edge whose messages not yet cached read the fewest rows."""
+        if f & (f - 1) == 0:
+            return g.rows[f.bit_length() - 1]
+        cost = {}
+        for (x, y), m in zip(g.ends, g.edge_mask):
+            if f & m == m:
+                fx = f & g.side[x, y]
+                cost[fx, x, y] = ((g, fx, x, y) not in self._msg_cache) * g.rows[x] + (
+                    (g, f ^ fx, y, x) not in self._msg_cache) * g.rows[y]
+        fx, x, y = min(cost, key=cost.get)
+        a, ta = self._msg(g, fx, x, y)
+        b, tb = self._msg(g, f ^ fx, y, x)
+        if ta * tb <= _I64_MAX and a.dtype != object and b.dtype != object:
+            return int(a @ b)
+        return int(a.astype(object) @ b.astype(object))
 
-        def weights(alias: str, parent: str | None) -> np.ndarray | None:
-            pdf = self._leaf(rels[alias])
-            w = None  # all ones
-            for child, edge in adj[alias]:
-                if child != parent:
-                    msg = message(child, alias, edge)
-                    w = _mul(w, msg[pdf[edge.side(alias)[0]].to_numpy()])
-            return w
+    def _msg(self, g: _FlatGraph, T: int, x: int, y: int) -> tuple[np.ndarray, int]:
+        """msg(T, x→y) and its total, the count of T."""
+        key = (g, T, x, y)
+        if key not in self._msg_cache:
+            w, bound = self._weights(g, T, x)
+            keys = self._col(g, x, g.col[x, y])
+            self._msg_cache[key] = _bincount(keys, w, bound, g.size[x, y])
+        return self._msg_cache[key]
 
-        def message(alias: str, parent: str, edge: JoinEdge) -> np.ndarray:
-            col, parent_col = edge.side(alias)[0], edge.side(parent)[0]
-            # Long enough for the parent's keys too, so none reads past it.
-            size = 1 + max(self._dense_max(rels[alias].table, col),
-                           self._dense_max(rels[parent].table, parent_col))
-            key = (_canon(*subtree(alias, parent)), alias, col, size)
-            if key not in self._msg_cache:
-                keys = self._leaf(rels[alias])[col].to_numpy()
-                self._msg_cache[key] = _bincount(keys, weights(alias, parent), size)
-            return self._msg_cache[key]
-
-        return weights(root, None)
+    def _weights(self, g: _FlatGraph, T: int, x: int) -> tuple[np.ndarray | None, int]:
+        """Per-row product of the messages into ``x`` from its neighbours
+        in ``T`` (None: all ones), and a bound on each product."""
+        w, bound = None, 1
+        nbrs = g.graph.nbr[x] & T
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            z = low.bit_length() - 1
+            m, total = self._msg(g, T & g.side[z, x], z, x)
+            looked = m[self._col(g, x, g.col[x, z])]
+            bound *= total
+            if w is None:
+                w = looked
+            elif bound <= _I64_MAX and w.dtype != object and looked.dtype != object:
+                w = w * looked
+            else:
+                w = w.astype(object) * looked.astype(object)
+        return w, bound
 
     def group_counts(
         self, spec: QuerySpec, subset: frozenset[str], alias: str, col: str
@@ -231,18 +316,21 @@ class TrueCardinalityOracle:
         """``value → #join-rows`` of ``alias.col`` within the sub-join.
 
         The exact value distribution of one column of the (virtual)
-        join result — linear time, never enumerates the join.
+        join result — one bincount of the alias's rows weighted by its
+        incoming messages; never enumerates the join. ``alias`` is a
+        base alias of the flattened spec.
         """
-        flat = self._expand(spec, subset)
-        if not self._is_tree(flat):
-            sel = f"{alias}.{col} AS v, COUNT(*) AS c"
-            sql = select_sql(sel, flat.relations, flat.joins) + " GROUP BY 1"
+        g, f = self._flat(spec, spec.graph.mask(subset))
+        if not g.is_tree(g.canon(f)):
+            s = g.graph.subset(f)
+            sql = (f"SELECT {alias}.{col} AS v, COUNT(*) AS c FROM "
+                   f"{g.spec.from_sql(s)} WHERE {g.spec.where_sql(s)} GROUP BY 1")
             pdf = self._duck().execute(sql).fetchdf()
             return pd.Series(pdf["c"].to_numpy(), index=pdf["v"].to_numpy())
-        w = self._root_weights(flat, alias)
-        rel = next(r for r in flat.relations if r.alias == alias)
-        vals, inv = np.unique(self._leaf(rel)[col].to_numpy(), return_inverse=True)
-        s = pd.Series(_bincount(inv, w, len(vals)), index=vals)
+        x = g.graph.index[alias]
+        w, bound = self._weights(g, f, x)
+        vals, inv = np.unique(self._col(g, x, col), return_inverse=True)
+        s = pd.Series(_bincount(inv, w, bound, len(vals))[0], index=vals)
         return s[s > 0]
 
     # -- virtual temp tables (re-optimization support) -----------------
@@ -251,6 +339,7 @@ class TrueCardinalityOracle:
         """Declare temp ``name`` := the sub-join; return its row count."""
         temp_cols = {f"{a}__{c}": (a, c) for a, c in cols}
         self._temps[name] = _TempDef(spec=spec, subset=subset, cols=temp_cols)
+        self._specs.clear()  # flattenings may name the temp
         return self.card(spec, subset)
 
     def temp_stats(self, name: str):
@@ -283,14 +372,18 @@ class TrueCardinalityOracle:
 
     def drop_temp(self, name: str) -> None:
         self._temps.pop(name, None)
+        self._specs.clear()
 
     def release(self, spec_name: str) -> None:
         """Free caches tied to one query's relations (keep count memo)."""
         # Leaf/message cache keys are content-addressed (table, filters;
-        # canonical subtree), so they are naturally shared; dropping
+        # canonical flat graph), so they are naturally shared; dropping
         # everything for a spec is only a memory valve.
         self._leaf_cache.clear()
+        self._col_cache.clear()
         self._msg_cache.clear()
+        self._graphs.clear()
+        self._specs.clear()
 
     def close(self) -> None:
         if self._con is not None:
@@ -302,38 +395,24 @@ def _py(v):
     return v.item() if hasattr(v, "item") else v
 
 
-def _total(w: np.ndarray) -> int:
-    """Exact sum of non-negative integer weights, as a Python int."""
-    if w.dtype != object and len(w) and int(w.max()) * len(w) > _I64_MAX:
-        w = w.astype(object)
-    return int(w.sum())
+def _total(w: np.ndarray, bound: int) -> int:
+    """Exact sum of non-negative integer weights, each at most ``bound``."""
+    step = _I64_MAX // max(bound, 1)
+    if w.dtype == object or step >= len(w):
+        return int(w.sum())
+    # Each chunk of `step` weights sums exactly in int64.
+    return sum(np.add.reduceat(w, np.arange(0, len(w), step)).tolist())
 
 
-def _mul(w: np.ndarray | None, looked: np.ndarray) -> np.ndarray:
-    """Exact ``w * looked``: int64 while it provably fits, else Python ints."""
+def _bincount(keys: np.ndarray, w: np.ndarray | None, bound: int,
+              size: int) -> tuple[np.ndarray, int]:
+    """Exact per-key sums (``size`` bins) of non-negative integer weights,
+    each at most ``bound`` (None: all ones), and their total."""
     if w is None:
-        return looked
-    if w.dtype == object or looked.dtype == object or (
-        len(w) and int(w.max()) * int(looked.max()) > _I64_MAX
-    ):
-        return w.astype(object) * looked.astype(object)
-    return w * looked
-
-
-def _bincount(keys: np.ndarray, w: np.ndarray | None, size: int) -> np.ndarray:
-    """Exact per-key sums (``size`` bins) of non-negative integer weights."""
-    if w is None:
-        return np.bincount(keys, minlength=size)
-    if w.dtype != object and _total(w) < _F64_EXACT:
-        return np.bincount(keys, weights=w, minlength=size).astype(np.int64)
+        return np.bincount(keys, minlength=size), len(keys)
+    total = _total(w, bound)
+    if w.dtype != object and total < _F64_EXACT:
+        return np.bincount(keys, weights=w, minlength=size).astype(np.int64), total
     out = np.zeros(size, dtype=object)
     np.add.at(out, keys, w.astype(object))
-    return out
-
-
-def _canon(relations, joins) -> tuple:
-    """Order-free identity of a sub-query: relations sorted by alias, join
-    edges with sorted endpoints, sorted."""
-    rels = sorted((r.alias, r.table, r.filters) for r in relations)
-    edges = sorted(tuple(sorted((a, j.side(a)[0]) for a in j.aliases)) for j in joins)
-    return tuple(rels), tuple(edges)
+    return (out.astype(np.int64) if total <= _I64_MAX else out), total

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.core.cost import CostModel
 from repro.core.enumerate import _pairs, plan_query
-from repro.core.estimator import PostgresEstimator
+from repro.core.estimator import PerfectEstimator, PostgresEstimator
 from repro.core.plans import Join, Leaf, Plan, walk
 from repro.core.query import JoinEdge, QuerySpec, Relation, connected_subsets
 from repro.imdb import workload
@@ -95,6 +96,25 @@ def test_planning_time_recorded(q6d, pg_est, cost_model):
 def test_planning_time_splits_into_estimate_and_enumerate(q6d, catalog, cost_model):
     pr = plan_query(q6d, PostgresEstimator(catalog), cost_model)
     assert pr.estimate_time > 0 and pr.enumerate_time > 0
+    assert pr.estimate_time + pr.enumerate_time == pr.planning_time
+
+
+class SlowOracle:
+    """An oracle whose every ``cards`` batch takes at least ``delay`` s."""
+
+    def __init__(self, oracle, delay):
+        self.oracle, self.delay = oracle, delay
+
+    def cards(self, spec, masks):
+        time.sleep(self.delay)
+        return self.oracle.cards(spec, masks)
+
+
+def test_oracle_time_is_kept_out_of_planning_time(q6d, oracle, catalog, cost_model):
+    est = PerfectEstimator(17, SlowOracle(oracle, 0.2), catalog)
+    pr = plan_query(q6d, est, cost_model)
+    assert pr.oracle_time >= 0.2 and pr.oracle_time == est.oracle_time
+    assert 0 < pr.estimate_time < 0.2
     assert pr.estimate_time + pr.enumerate_time == pr.planning_time
 
 

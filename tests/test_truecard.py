@@ -196,6 +196,22 @@ def test_drop_temp_forgets(own_oracle, q6d):
     assert "td0" not in own_oracle._temps
 
 
+def test_cards_on_rewritten_spec_reuse_original_counts(ds, own_oracle, q6d):
+    sub = frozenset({"k", "mk"})
+    new_spec, cols = rewrite_with_temp(q6d, sub, "tc0", "q6d@1")
+    own_oracle.register_temp("tc0", q6d, sub, cols)
+    own_oracle.cards(q6d, q6d.graph.csgs())
+    n = own_oracle.n_counts
+    # Every connected subset of the rewritten spec is, flattened, one of
+    # the original's: one batch counts nothing new.
+    masks = new_spec.graph.csgs()
+    got = own_oracle.cards(new_spec, masks)
+    assert own_oracle.n_counts == n
+    one = TrueCardinalityOracle(ds)
+    one.register_temp("tc0", q6d, sub, cols)
+    assert got == [one.card(new_spec, new_spec.graph.subset(m)) for m in masks]
+
+
 def test_release_clears_caches(own_oracle, q6d):
     own_oracle.card(q6d)
     own_oracle.release(q6d.name)
@@ -234,6 +250,12 @@ def test_counts_are_exact_past_float_and_int64_range(shape, n_rel):
         gc = orc.group_counts(spec, spec.aliases, r.alias, "k")
         assert list(gc.index) == [0] and gc.sum() == n**n_rel
     assert orc._con is None  # no DuckDB fallback
+    # Every connected subset of k relations counts n**k, in one batch.
+    batch = TrueCardinalityOracle(Dataset(sf=0.0, seed=0, tables=tables))
+    masks = spec.graph.csgs()
+    got = batch.cards(spec, masks)
+    assert got == [n ** m.bit_count() for m in masks]
+    assert all(type(c) is int for c in got) and batch._con is None
 
 
 # -- canonical count memo ----------------------------------------------
@@ -310,16 +332,22 @@ def random_trees(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_trees())
-def test_tree_counts_match_duckdb_on_random_trees(case):
+@given(random_trees(), st.randoms(use_true_random=False))
+def test_tree_counts_match_duckdb_on_random_trees(case, rnd):
     tables, spec, bad = case
     orc = TrueCardinalityOracle(Dataset(sf=0.0, seed=0, tables=tables))
+    one = TrueCardinalityOracle(Dataset(sf=0.0, seed=0, tables=tables))
+    masks = spec.graph.csgs()
+    rnd.shuffle(masks)
+    batch = dict(zip(masks, orc.cards(spec, masks)))
     con = duckdb.connect()
     try:
         for name, pdf in tables.items():
             con.register(name, pdf)
         for s in connected_subsets(spec):
-            assert orc.card(spec, s) == con.execute(spec.count_sql(s)).fetchone()[0], s
+            expected = con.execute(spec.count_sql(s)).fetchone()[0]
+            assert batch[spec.graph.mask(s)] == orc.card(spec, s) == expected, s
+            assert one.card(spec, s) == expected, s
         for a in sorted(spec.aliases):
             rows = con.execute(
                 f"SELECT {a}.v, COUNT(*) FROM {spec.from_sql()} "
