@@ -8,12 +8,15 @@ number of configurations:
 * ``perfect-(n)`` — the oracle for joins of ≤ n relations (§III-B)
 * ``reopt(τ)``    — any of the above plus the §V re-optimization loop
 
-Per query and config it records planning time (real, our planner),
+Every (query, config) run has one shape: a
+:class:`~repro.core.reopt.ReoptOutcome`. A config without τ is the
+loop's zero-round case, whose outcome is the plain plan. Per query and
+config the harness records planning time (real, our planner) and
 simulated execution time (deterministic; see
-:class:`~repro.core.cost.ExecutionSimulator`), the chosen plan, and the
-re-optimization trace. Spark wall-clock execution is a separate,
-optional pass (:meth:`Harness.execute_spark`) because the simulated
-metric is what the full-workload tables use (DESIGN.md §3.5).
+:class:`~repro.core.cost.ExecutionSimulator`), both read from the
+outcome. Spark wall-clock execution is a separate, optional pass
+(:meth:`Harness.execute_spark`) because the simulated metric is what
+the full-workload tables use (DESIGN.md §3.5).
 
 Configs run query-by-query (queries outer, configs inner) so the
 oracle's per-query caches are shared across configs and released as
@@ -24,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.cost import CostModel, ExecutionSimulator
-from ..core.enumerate import PlannerResult, plan_query
 from ..core.estimator import PerfectEstimator, PostgresEstimator
-from ..core.executor import SparkExecutor, true_cards
+from ..core.executor import SparkExecutor
 from ..core.query import QuerySpec
 from ..core.reopt import (
     ReoptOutcome,
@@ -45,7 +47,7 @@ class Config:
     """One workload configuration.
 
     ``perfect_n``: None → PostgreSQL estimates; n → perfect-(n).
-    ``reopt_threshold``: None → no re-optimization; τ → §V loop at τ.
+    ``reopt_threshold``: None → zero rounds (the plain plan); τ → §V loop at τ.
     """
 
     name: str
@@ -66,11 +68,16 @@ class QueryRun:
     n_tables: int
     config: str
     sim_time: float
-    planning_time: float
-    n_replans: int = 0
-    plan: PlannerResult | None = None
-    outcome: ReoptOutcome | None = None
+    outcome: ReoptOutcome
     wall_time: float | None = None
+
+    @property
+    def planning_time(self) -> float:
+        return self.outcome.planning_time
+
+    @property
+    def n_replans(self) -> int:
+        return self.outcome.n_replans
 
 
 class Harness:
@@ -99,21 +106,9 @@ class Harness:
         self, spec: QuerySpec, config: Config, *, keep_temps: bool = False
     ) -> QueryRun:
         """Run one query under one config (simulated execution)."""
-        est = self.estimator(config.perfect_n)
-        if config.reopt_threshold is None:
-            pr = plan_query(spec, est, self.cost)
-            cards = true_cards(spec, pr.plan.root, self.oracle)
-            return QueryRun(
-                name=spec.name,
-                n_tables=len(spec.relations),
-                config=config.name,
-                sim_time=self.sim.plan_time(pr.plan.root, cards),
-                planning_time=pr.planning_time,
-                plan=pr,
-            )
         outcome = reoptimize(
             spec,
-            est,
+            self.estimator(config.perfect_n),
             self.cost,
             self.oracle,
             threshold=config.reopt_threshold,
@@ -124,8 +119,6 @@ class Harness:
             n_tables=len(spec.relations),
             config=config.name,
             sim_time=simulated_exec_time(outcome, self.sim, self.oracle),
-            planning_time=outcome.planning_time,
-            n_replans=outcome.n_replans,
             outcome=outcome,
         )
         if not keep_temps:
@@ -150,15 +143,10 @@ class Harness:
         run: QueryRun,
         executor: SparkExecutor,
     ) -> QueryRun:
-        """Fill ``run.wall_time`` by actually executing in Spark."""
-        if run.outcome is not None:
-            outcome = run.outcome
-            wall, _ = run_reoptimized_spark(outcome, executor)
-            cleanup(outcome, self.oracle, executor)
-            run.wall_time = wall
-            return run
-        res = executor.run(spec, run.plan.plan.root)
-        run.wall_time = res.wall_s
+        """Fill ``run.wall_time`` by replaying ``run.outcome`` of ``spec``
+        in Spark: its materializations, then its final plan."""
+        run.wall_time, _ = run_reoptimized_spark(run.outcome, executor)
+        cleanup(run.outcome, self.oracle, executor)
         return run
 
 

@@ -83,10 +83,3 @@ def join_nodes_bottom_up(node: PlanNode) -> list[Join]:
     """
     joins = [n for n in walk(node) if isinstance(n, Join)]
     return sorted(joins, key=lambda j: len(j.aliases))
-
-
-def leaf_aliases(node: PlanNode) -> list[str]:
-    """Left-to-right leaf order of the tree."""
-    if isinstance(node, Leaf):
-        return [node.alias]
-    return leaf_aliases(node.left) + leaf_aliases(node.right)

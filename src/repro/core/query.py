@@ -182,10 +182,18 @@ class QuerySpec:
 
     def result_sql(self) -> str:
         """The query's full output SQL (COUNT + MINs)."""
-        outs = ["COUNT(*) AS cnt"] + [
-            f"MIN({a}.{c}) AS min_{a}_{c}" for a, c in self.min_cols
-        ]
-        return select_sql(", ".join(outs), self.relations, self.joins)
+        return select_sql(result_select(self.min_cols), self.relations, self.joins)
+
+
+def result_select(min_cols, base_col=lambda a, c: (a, c)) -> str:
+    """A query's output list: ``COUNT(*)`` and one MIN per output column,
+    named after the output column. ``base_col`` maps an output column to
+    the column it reads (a temp table's column to its base relation's)."""
+    outs = ["COUNT(*) AS cnt"]
+    for a, c in min_cols:
+        ba, bc = base_col(a, c)
+        outs.append(f"MIN({ba}.{bc}) AS min_{a}_{c}")
+    return ", ".join(outs)
 
 
 def select_sql(select: str, relations, joins) -> str:

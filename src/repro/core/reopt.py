@@ -4,18 +4,24 @@ The scheme, exactly as simulated in the paper (their Fig. 6):
 
 1. Plan the query with the estimator under test.
 2. Compare each join operator's estimated cardinality to its true
-   cardinality (our ``EXPLAIN ANALYZE`` stand-in: the DuckDB oracle).
+   cardinality (our ``EXPLAIN ANALYZE`` stand-in: the exact oracle).
 3. Take the **lowest** join whose Q-error is ≥ the threshold, rewrite
    that sub-join as a ``CREATE TEMP TABLE``, replace its relations in
    the remaining query with the temp table (whose statistics are now
    exact), and re-plan the remainder.
 4. Repeat until no join operator trips the threshold.
 
+Every run of a query is an outcome of this loop. Without a threshold
+the loop makes zero rounds and never consults the oracle, so the
+outcome is the ordinary plan. The loop ends by itself: each round
+replaces ≥ 2 relations by one temp table, and the root join is never
+materialized.
+
 ``reoptimize`` is engine-agnostic: it plans, consults the oracle, and
 records every round (specs, sub-plans, temp tables). The harness then
-prices the outcome either with the deterministic execution simulator
-(``simulated_exec_time``) or by replaying the materializations + final
-query in Spark (``run_reoptimized_spark``).
+prices the outcome with the deterministic execution simulator
+(``simulated_exec_time``), and may replay the materializations and the
+final query in Spark (``run_reoptimized_spark``).
 """
 from __future__ import annotations
 
@@ -32,29 +38,27 @@ from .truecard import TrueCardinalityOracle
 
 @dataclass
 class ReoptStep:
-    """One materialize-and-replan round."""
+    """One materialize-and-replan round: ``sub_node`` of the plan of
+    ``spec_before`` becomes temp table ``temp_name``, carrying the
+    (alias, col) pairs ``cols``; ``rows`` is its true cardinality."""
 
-    round: int
     spec_before: QuerySpec
     sub_node: Join
-    subset: frozenset[str]
     temp_name: str
-    est_card: float
-    true_card: int
+    cols: list[tuple[str, str]]
     rows: int
 
     @property
     def qerr(self) -> float:
-        return qerror(self.est_card, self.true_card)
+        return qerror(self.sub_node.est_card, self.rows)
 
 
 @dataclass
 class ReoptOutcome:
-    """Everything a round of re-optimization produced."""
+    """Everything a run of the re-optimization loop produced."""
 
-    original_spec: QuerySpec
     final_spec: QuerySpec
-    steps: list[ReoptStep]
+    steps: list[ReoptStep] = field(default_factory=list)
     planner_results: list[PlannerResult] = field(default_factory=list)
 
     @property
@@ -147,26 +151,26 @@ def reoptimize(
     cost: CostModel,
     oracle: TrueCardinalityOracle,
     *,
-    threshold: float = 32.0,
+    threshold: float | None = 32.0,
     tag: str = "r",
-    max_rounds: int | None = None,
 ) -> ReoptOutcome:
     """Run the full re-optimization loop (engine-agnostic).
 
+    ``threshold=None`` makes zero rounds: the outcome is the plain plan.
     ``tag`` namespaces temp tables so different configurations sharing
     one oracle never collide. ``estimator`` may be the PostgreSQL
     estimator or perfect-(n) (paper Fig. 8 combines both).
     """
-    outcome = ReoptOutcome(original_spec=spec, final_spec=spec, steps=[])
-    cur = spec
-    pr = plan_query(cur, estimator, cost)
+    outcome = ReoptOutcome(final_spec=spec)
+    pr = plan_query(spec, estimator, cost)
     outcome.planner_results.append(pr)
-    max_rounds = max_rounds if max_rounds is not None else len(spec.relations)
-    for rnd in range(max_rounds):
+    while threshold is not None:
+        cur = outcome.final_spec
         hit = _lowest_triggered(cur, pr.plan.root, oracle, threshold)
         if hit is None:
             break
-        node, truth = hit
+        node, _ = hit
+        rnd = len(outcome.steps)
         temp_name = f"{spec.name}_{tag}_t{rnd}"
         new_spec, cols = rewrite_with_temp(
             cur, node.aliases, temp_name, f"{spec.name}@{tag}{rnd + 1}"
@@ -175,22 +179,10 @@ def reoptimize(
         # Exact statistics for the materialized table — the mechanism by
         # which re-optimization corrects the estimator.
         estimator.catalog.stats[temp_name] = oracle.temp_stats(temp_name)
-        outcome.steps.append(
-            ReoptStep(
-                round=rnd,
-                spec_before=cur,
-                sub_node=node,
-                subset=node.aliases,
-                temp_name=temp_name,
-                est_card=node.est_card,
-                true_card=truth,
-                rows=rows,
-            )
-        )
-        cur = new_spec
-        pr = plan_query(cur, estimator, cost)
+        outcome.steps.append(ReoptStep(cur, node, temp_name, cols, rows))
+        outcome.final_spec = new_spec
+        pr = plan_query(new_spec, estimator, cost)
         outcome.planner_results.append(pr)
-    outcome.final_spec = cur
     return outcome
 
 
@@ -225,9 +217,8 @@ def run_reoptimized_spark(
     """
     total = 0.0
     for step in outcome.steps:
-        cols = _materialize_cols(step.spec_before, step.subset)
         _, wall = executor.materialize(
-            step.spec_before, step.sub_node, step.temp_name, cols
+            step.spec_before, step.sub_node, step.temp_name, step.cols
         )
         total += wall
     res = executor.run(

@@ -56,7 +56,7 @@ import pandas as pd
 import duckdb
 
 from ..imdb.gen import Dataset
-from .query import JoinEdge, QuerySpec, Relation, select_sql
+from .query import JoinEdge, QuerySpec, Relation, result_select, select_sql
 
 _I64_MAX = 2**63 - 1
 #: float64 holds every integer below this, so ``bincount`` sums are exact.
@@ -238,11 +238,10 @@ class TrueCardinalityOracle:
         Enumerates the join (unlike :meth:`card`), so only call it on
         queries whose true result is materializable — tests do.
         """
-        outs = ["COUNT(*) AS cnt"]
-        for a, c in spec.min_cols:
-            ba, bc = self._base_col(spec, a, c)
-            outs.append(f"MIN({ba}.{bc}) AS min_{a}_{c}")
-        sql = select_sql(", ".join(outs), *self._expand(spec, None))
+        outs = result_select(
+            spec.min_cols, lambda a, c: self._base_col(spec, a, c)
+        )
+        sql = select_sql(outs, *self._expand(spec, None))
         return self._duck().execute(sql).fetchdf()
 
     # -- Yannakakis counting over tree-shaped flat graphs ----------------

@@ -352,14 +352,6 @@ def job_lite_workload(seed: int = 7) -> list[QuerySpec]:
     return specs
 
 
-def table_count_histogram(specs: list[QuerySpec]) -> dict[int, int]:
-    """# queries per relation count — regenerates paper Table III."""
-    out: dict[int, int] = {}
-    for s in specs:
-        out[len(s.relations)] = out.get(len(s.relations), 0) + 1
-    return dict(sorted(out.items()))
-
-
 # -- hand-built analogues of the paper's deep-dive queries -------------
 
 def q6d_lite() -> QuerySpec:

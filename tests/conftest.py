@@ -2,15 +2,16 @@
 
 Everything heavyweight (dataset, statistics, oracle, workload) is built
 once per session at SF=0.01 and shared; tests must treat these as
-read-only (re-optimization tests create their own oracles when they
-register temps with overlapping names).
+read-only. Code that registers temp tables gets its own oracle and a
+``Catalog(dict(catalog.stats))`` copy for their statistics, as the
+``harness`` fixture does.
 """
 import pytest
 
 from repro.bench.harness import Harness
 from repro.core.cost import CostModel, ExecutionSimulator
 from repro.core.estimator import PerfectEstimator, PostgresEstimator
-from repro.core.stats import analyze_pandas
+from repro.core.stats import Catalog, analyze_pandas
 from repro.core.truecard import TrueCardinalityOracle
 from repro.imdb import gen, workload
 
@@ -60,4 +61,5 @@ def specs():
 
 @pytest.fixture(scope="session")
 def harness(ds, catalog):
-    return Harness(ds, catalog)
+    # Re-optimization adds temp-table statistics to the harness's catalog.
+    return Harness(ds, Catalog(dict(catalog.stats)))

@@ -39,9 +39,8 @@ def unit_digest(run) -> str:
     """SHA-256 of a run's outputs: every planning round's plan tree,
     exact estimated cost and estimates by subset size, then the
     simulated time."""
-    rounds = [run.plan] if run.outcome is None else run.outcome.planner_results
     parts = []
-    for pr in rounds:
+    for pr in run.outcome.planner_results:
         parts += [
             pr.plan.pretty(),
             repr(pr.plan.est_cost),

@@ -5,7 +5,7 @@ import pytest
 from repro.core.estimator import PerfectEstimator, PostgresEstimator
 from repro.core.query import Filter, JoinEdge, QuerySpec, Relation, connected_subsets
 from repro.core.reopt import rewrite_with_temp
-from repro.core.stats import analyze_pandas
+from repro.core.stats import Catalog
 from repro.core.truecard import TrueCardinalityOracle
 from repro.imdb import workload
 
@@ -122,8 +122,8 @@ def test_pg_cards_match_reference_product_bit_for_bit(catalog, specs):
         assert_cards_match_reference(spec, est)
 
 
-def test_pg_cards_of_rewritten_spec_match_reference_product(ds, q6d):
-    catalog = analyze_pandas(ds)
+def test_pg_cards_of_rewritten_spec_match_reference_product(ds, catalog, q6d):
+    catalog = Catalog(dict(catalog.stats))
     own_oracle = TrueCardinalityOracle(ds)
     sub = frozenset({"k", "mk"})
     new_spec, cols = rewrite_with_temp(q6d, sub, "q6d_tmp", "q6d@1")
@@ -230,8 +230,8 @@ def test_perfect_n_matches_reference_recursion_bit_for_bit(
         assert got == ref, spec.name
 
 
-def test_rewritten_spec_sees_temp_stats_added_after_first_estimate(ds, q6d):
-    catalog = analyze_pandas(ds)
+def test_rewritten_spec_sees_temp_stats_added_after_first_estimate(ds, catalog, q6d):
+    catalog = Catalog(dict(catalog.stats))
     est = PostgresEstimator(catalog)
     est.card(q6d, q6d.aliases)  # q6d's factors exist before the temp does
     own_oracle = TrueCardinalityOracle(ds)

@@ -3,7 +3,7 @@ import pytest
 
 from repro.bench.harness import PG, PERFECT, REOPT32, Config, Harness, total_times
 from repro.core.estimator import PerfectEstimator, PostgresEstimator
-from repro.core.executor import SparkExecutor
+from repro.core.executor import SparkExecutor, true_cards
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +32,14 @@ def test_run_fields(results):
             assert r.config == cfg
 
 
-def test_non_reopt_runs_have_plans(results):
-    for r in results["pg"].values():
-        assert r.plan is not None and r.outcome is None
-    for r in results["reopt-32"].values():
-        assert r.outcome is not None and r.plan is None
+def test_plain_runs_are_zero_round_outcomes(harness, results, slice_specs):
+    for cfg in ("pg", "perfect-17"):
+        for spec in slice_specs:
+            r = results[cfg][spec.name]
+            assert r.n_replans == 0 and len(r.outcome.planner_results) == 1
+            root = r.outcome.final_plan.plan.root
+            cards = true_cards(spec, root, harness.oracle)
+            assert r.sim_time == harness.sim.plan_time(root, cards)
 
 
 def test_perfect_not_slower_than_pg_on_slice_total(results):

@@ -1,7 +1,7 @@
 """Unit tests for plan trees (repro.core.plans)."""
 from dataclasses import fields
 
-from repro.core.plans import Join, Leaf, Plan, join_nodes_bottom_up, leaf_aliases, walk
+from repro.core.plans import Join, Leaf, Plan, join_nodes_bottom_up, walk
 
 
 def tree():
@@ -40,10 +40,6 @@ def test_walk_postorder():
 def test_join_nodes_bottom_up_order():
     joins = join_nodes_bottom_up(tree())
     assert [len(j.aliases) for j in joins] == [2, 3]
-
-
-def test_leaf_aliases_left_to_right():
-    assert leaf_aliases(tree()) == ["a", "b", "c"]
 
 
 def test_pretty_mentions_est():

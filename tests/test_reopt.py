@@ -1,11 +1,13 @@
 """Re-optimization core tests (simulation path, no Spark)."""
+import pandas as pd
 import pytest
 
+from repro.bench.harness import REOPT32, Harness
 from repro.core.cost import CostModel, ExecutionSimulator
 from repro.core.enumerate import plan_query
 from repro.core.estimator import PerfectEstimator, PostgresEstimator
 from repro.core.executor import true_cards
-from repro.core.plans import Join, walk
+from repro.core.plans import Join, join_nodes_bottom_up, walk
 from repro.core.query import Filter, JoinEdge, QuerySpec, Relation
 from repro.core.reopt import (
     _lowest_triggered,
@@ -15,6 +17,7 @@ from repro.core.reopt import (
     rewrite_with_temp,
     simulated_exec_time,
 )
+from repro.core.stats import Catalog
 from repro.core.truecard import TrueCardinalityOracle
 from repro.imdb import workload
 
@@ -147,6 +150,30 @@ def test_reoptimize_result_equals_original(own_pg, own_oracle, q6d):
     cleanup(out, own_oracle)
 
 
+def _row(result) -> list:
+    """A one-row result by position, with NULL/NaN as None."""
+    return [None if pd.isna(v) else v for v in result.iloc[0]]
+
+
+def test_rewrite_preserves_result_across_workload(ds, catalog, specs):
+    """DuckDB returns the same row for the rewritten query as for the
+    original, on every query that re-optimizes under reopt-32 and whose
+    join has at most 1e5 rows. Positions, not names, are compared: the
+    rewrite renames the MIN columns."""
+    h = Harness(ds, Catalog(dict(catalog.stats)))
+    checked = []
+    for spec in specs:
+        run = h.run_query(spec, REOPT32, keep_temps=True)
+        if run.n_replans and h.oracle.card(spec) <= 1e5:
+            want = _row(h.oracle.result(spec))
+            assert _row(h.oracle.result(run.outcome.final_spec)) == want, spec.name
+            checked.append(spec.name)
+        cleanup(run.outcome, h.oracle)
+        h.oracle.release(spec.name)
+    h.oracle.close()
+    assert len(checked) >= 50
+
+
 def test_reoptimize_registers_temp_stats(own_pg, own_oracle, q6d):
     out = reoptimize(q6d, own_pg, CostModel(), own_oracle, threshold=32, tag="t4")
     for step in out.steps:
@@ -171,12 +198,22 @@ def test_planning_time_accumulates(own_pg, own_oracle, q6d):
     cleanup(out, own_oracle)
 
 
-def test_max_rounds_caps_loop(own_pg, own_oracle, q6d):
-    out = reoptimize(
-        q6d, own_pg, CostModel(), own_oracle, threshold=2, tag="t7", max_rounds=1
-    )
-    assert out.n_replans <= 1
+def test_loop_ends_by_itself_at_tau_one(own_pg, own_oracle, q6d):
+    # Every Q-error is >= 1, so at τ=1 every non-root join trips: each
+    # round takes the lowest join, until only the root join is left.
+    out = reoptimize(q6d, own_pg, CostModel(), own_oracle, threshold=1.0, tag="t7")
+    assert len(q6d.relations) == 5
+    assert 1 <= out.n_replans <= 3
+    assert len(out.final_spec.relations) == 2
+    for step, pr in zip(out.steps, out.planner_results):
+        assert step.sub_node == join_nodes_bottom_up(pr.plan.root)[0]
     cleanup(out, own_oracle)
+
+
+def test_no_threshold_is_zero_rounds_without_the_oracle(own_pg, q6d, cost_model):
+    out = reoptimize(q6d, own_pg, cost_model, None, threshold=None)
+    assert out.n_replans == 0 and out.final_spec is q6d
+    assert out.final_plan.plan == plan_query(q6d, own_pg, cost_model).plan
 
 
 def test_simulated_exec_time_decomposes(own_pg, own_oracle, q6d, sim):

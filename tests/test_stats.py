@@ -94,9 +94,8 @@ def test_range_on_constant_column():
 
 
 def test_analyze_pandas_covers_all_tables(ds, catalog):
-    # The shared session catalog may have gained temp-table stats from
-    # re-optimization tests; every base table must (still) be covered.
-    assert set(ds.tables) <= set(catalog.stats)
+    # The shared session catalog never gains temp-table statistics.
+    assert set(ds.tables) == set(catalog.stats)
     for t, pdf in ds.tables.items():
         assert catalog.table(t).n_rows == len(pdf)
 

@@ -1,7 +1,7 @@
 """JOB-lite workload tests: shape, validity, determinism."""
 import pytest
 
-from repro.bench.tables import PAPER_TABLE3
+from repro.bench.tables import PAPER_TABLE3, table3
 from repro.imdb import schema, workload
 
 
@@ -10,7 +10,7 @@ def test_workload_has_113_queries(specs):
 
 
 def test_table_count_distribution_matches_paper(specs):
-    assert workload.table_count_histogram(specs) == PAPER_TABLE3
+    assert table3(specs) == PAPER_TABLE3
 
 
 def test_deterministic(specs):
