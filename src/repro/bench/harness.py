@@ -65,7 +65,6 @@ class QueryRun:
     """One (query, config) execution record."""
 
     name: str
-    n_tables: int
     config: str
     sim_time: float
     outcome: ReoptOutcome
@@ -116,9 +115,8 @@ class Harness:
         )
         run = QueryRun(
             name=spec.name,
-            n_tables=len(spec.relations),
             config=config.name,
-            sim_time=simulated_exec_time(outcome, self.sim, self.oracle),
+            sim_time=simulated_exec_time(outcome, self.sim),
             outcome=outcome,
         )
         if not keep_temps:

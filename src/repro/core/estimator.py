@@ -26,15 +26,15 @@ Like PostgreSQL's ``set_baserel_size_estimates``, the PG estimator sizes
 each base relation once per query: on the first estimate for a
 ``spec.name`` it builds that spec's :class:`Factors` (every base
 cardinality and join selectivity), and each estimate, under either
-estimator, multiplies factors from it. The PG estimator keeps no other
-state: ``cards`` multiplies the factor table for a whole batch of masks
-with numpy, in the order the scalar product used. The factor table (and
-perfect-(n)'s memo of ``(spec.name, subset)`` estimates) relies on one
-condition: within one estimator, a name always stands for the same
-spec, and the statistics of its tables do not change after its first
-estimate. Re-optimization keeps it: every rewritten spec gets a fresh
-name, and its temp table's statistics are in the catalog before that
-name is first estimated.
+estimator, multiplies factors from it. ``cards`` multiplies the factor
+table for a whole batch of masks with numpy, in the order the scalar
+product used. The factor table relies on one condition: within one
+estimator, a name always stands for the same spec, and the statistics
+of its tables do not change after its first estimate. Re-optimization
+keeps it: every rewritten spec gets a fresh name, and its temp table's
+statistics are in the catalog before that name is first estimated.
+perfect-(n) keeps no state of its own: each ``cards`` call reads its
+truths from the oracle, whose count memo is the one cache of them.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .query import QuerySpec, Relation
+from .query import JoinGraph, QuerySpec, Relation
 from .stats import (
     Catalog,
     eq_selectivity,
@@ -56,12 +56,9 @@ from .truecard import TrueCardinalityOracle
 class Factors(NamedTuple):
     """The factors of a spec's PG estimates, computed once per spec."""
 
-    #: alias -> :meth:`PostgresEstimator.base_card`, in ``spec.relations`` order.
-    base: dict[str, float]
-    #: (left alias, right alias, join selectivity), in ``spec.joins`` order.
-    joins: tuple[tuple[str, str, float], ...]
-    #: the ``spec.graph`` mask each factor needs in a subset (base
-    #: cardinalities, then joins), and the factors, in the same order.
+    #: the ``spec.graph`` mask each factor needs in a subset, and the
+    #: factors: base cardinalities in ``spec.relations`` order, then join
+    #: selectivities in ``spec.joins`` order.
     need: np.ndarray
     value: np.ndarray
 
@@ -94,29 +91,25 @@ class PostgresEstimator:
         the first call for ``spec.name``."""
         f = self._factors.get(spec.name)
         if f is None:
-            base = {r.alias: self.base_card(r) for r in spec.relations}
-            joins = tuple(
-                (
-                    j.left_alias,
-                    j.right_alias,
-                    self.join_selectivity(
-                        spec.relation(j.left_alias).table,
-                        j.left_col,
-                        spec.relation(j.right_alias).table,
-                        j.right_col,
-                    ),
-                )
-                for j in spec.joins
-            )
             bit = {a: 1 << i for i, a in enumerate(spec.graph.aliases)}
             f = self._factors[spec.name] = Factors(
-                base=base,
-                joins=joins,
                 need=np.array(
-                    [bit[a] for a in base] + [bit[l] | bit[r] for l, r, _ in joins],
+                    [bit[r.alias] for r in spec.relations]
+                    + [bit[j.left_alias] | bit[j.right_alias] for j in spec.joins],
                     dtype=np.int64,
                 ),
-                value=np.array([*base.values(), *(sel for _, _, sel in joins)]),
+                value=np.array(
+                    [self.base_card(r) for r in spec.relations]
+                    + [
+                        self.join_selectivity(
+                            spec.relation(j.left_alias).table,
+                            j.left_col,
+                            spec.relation(j.right_alias).table,
+                            j.right_col,
+                        )
+                        for j in spec.joins
+                    ]
+                ),
             )
         return f
 
@@ -159,7 +152,6 @@ class PerfectEstimator:
         self.n = n
         self.oracle = oracle
         self.pg = PostgresEstimator(catalog)
-        self._memo: dict[tuple[str, frozenset[str]], float] = {}
         #: seconds spent inside ``oracle.cards``, summed over all calls.
         self.oracle_time = 0.0
 
@@ -167,44 +159,46 @@ class PerfectEstimator:
     def catalog(self) -> Catalog:
         return self.pg.catalog
 
-    def cards(self, spec: QuerySpec, masks) -> np.ndarray:
-        """:meth:`card` of each ``spec.graph`` mask.
-
-        The truths of all masks of ≤ n relations not yet memoized come
-        from one ``oracle.cards`` call, smallest first; larger masks then
-        take the default recursion of :meth:`card`, which finds every
-        truth it needs in the memo.
-        """
-        masks = np.asarray(masks, dtype=np.int64).tolist()
-        keys = {m: (spec.name, spec.graph.subset(m)) for m in masks}
-        small = sorted(
-            (m for m, k in keys.items() if m.bit_count() <= self.n and k not in self._memo),
-            key=lambda m: (m.bit_count(), m),
-        )
-        for m, truth in zip(small, self._truths(spec, small)):
-            self._memo[keys[m]] = float(max(truth, 1))
-        return np.array([self.card(spec, keys[m][1]) for m in masks])
-
     def card(self, spec: QuerySpec, subset: frozenset[str]) -> float:
-        key = (spec.name, subset)
-        if key not in self._memo:
-            self._memo[key] = self._estimate(spec, subset)
-        return self._memo[key]
+        return float(self.cards(spec, [spec.graph.mask(subset)])[0])
 
-    def _estimate(self, spec: QuerySpec, subset: frozenset[str]) -> float:
-        if len(subset) <= self.n:
-            return float(max(self._truths(spec, [spec.graph.mask(subset)])[0], 1))
-        f = self.pg.factors(spec)
-        if len(subset) == 1:
-            return f.base[next(iter(subset))]
-        # Default technique above n: extend a (recursively estimated)
-        # sub-subset by one relation with uniformity join selectivity.
-        r = self._removable(spec, subset)
-        card = self.card(spec, subset - {r}) * f.base[r]
-        for left, right, sel in f.joins:
-            if r in (left, right) and left in subset and right in subset:
-                card *= sel
-        return max(card, 1.0)
+    def cards(self, spec: QuerySpec, masks) -> np.ndarray:
+        """Estimates of ``spec.graph`` masks, computed level by level.
+
+        A mask of ≤ n relations is its truth; all of them come from one
+        ``oracle.cards`` call, smallest first. A larger mask takes the
+        default technique: the estimate of the mask without its
+        :func:`_removable` relation r, times r's base cardinality, times
+        each selectivity of an edge from r into the mask, clamped at 1.
+        """
+        g, f = spec.graph, self.pg.factors(spec)
+        k = len(spec.relations)
+        base = dict(zip(f.need[:k].tolist(), f.value[:k].tolist()))
+        joins = list(zip(f.need[k:].tolist(), f.value[k:].tolist()))
+        masks = np.asarray(masks, dtype=np.int64).tolist()
+        # Close the request under dropping the removable relation.
+        drop: dict[int, int] = {}
+        todo = list(masks)
+        while todo:
+            m = todo.pop()
+            if m not in drop:
+                drop[m] = r = _removable(g, m) if m.bit_count() > max(self.n, 1) else 0
+                if r:
+                    todo.append(m ^ r)
+        order = sorted(drop, key=lambda m: (m.bit_count(), m))
+        small = [m for m in order if m.bit_count() <= self.n]
+        est = {m: float(max(t, 1)) for m, t in zip(small, self._truths(spec, small))}
+        for m in order[len(small):]:
+            r = drop[m]
+            if not r:  # one relation above n
+                est[m] = base[m]
+                continue
+            card = est[m ^ r] * base[r]
+            for need, sel in joins:
+                if need & r and need & m == need:
+                    card *= sel
+            est[m] = max(card, 1.0)
+        return np.array([est[m] for m in masks])
 
     def _truths(self, spec: QuerySpec, masks: list[int]) -> list[int]:
         """``oracle.cards``, timed into :attr:`oracle_time`."""
@@ -213,11 +207,12 @@ class PerfectEstimator:
         self.oracle_time += time.perf_counter() - t0
         return truths
 
-    def _removable(self, spec: QuerySpec, subset: frozenset[str]) -> str:
-        """Deterministic alias whose removal keeps ``subset`` connected."""
-        g = spec.graph
-        m = g.mask(subset)
-        for a in sorted(subset, reverse=True):
-            if len(subset) == 1 or g.is_connected(m ^ (1 << g.index[a])):
-                return a
-        raise AssertionError(f"no removable alias in {sorted(subset)}")
+
+def _removable(g: JoinGraph, m: int) -> int:
+    """Bit of the highest relation whose removal keeps the connected
+    ``g`` mask ``m`` (≥ 2 relations) connected."""
+    return next(
+        1 << i
+        for i in reversed(range(m.bit_length()))
+        if m >> i & 1 and g.is_connected(m ^ 1 << i)
+    )

@@ -3,25 +3,28 @@
 The scheme, exactly as simulated in the paper (their Fig. 6):
 
 1. Plan the query with the estimator under test.
-2. Compare each join operator's estimated cardinality to its true
-   cardinality (our ``EXPLAIN ANALYZE`` stand-in: the exact oracle).
+2. Read the true cardinality of every operator of the plan (our
+   ``EXPLAIN ANALYZE`` stand-in: :func:`~repro.core.executor.true_cards`
+   over the exact oracle), and compare each join's estimate to it.
 3. Take the **lowest** join whose Q-error is ≥ the threshold, rewrite
    that sub-join as a ``CREATE TEMP TABLE``, replace its relations in
    the remaining query with the temp table (whose statistics are now
    exact), and re-plan the remainder.
 4. Repeat until no join operator trips the threshold.
 
-Every run of a query is an outcome of this loop. Without a threshold
-the loop makes zero rounds and never consults the oracle, so the
-outcome is the ordinary plan. The loop ends by itself: each round
-replaces ≥ 2 relations by one temp table, and the root join is never
-materialized.
+Every run of a query is an outcome of this loop, and each planning
+round's truths are read once and kept on the outcome. Without a
+threshold the loop makes zero rounds: it reads its plan's truths once,
+runs no trigger check, and the outcome is the ordinary plan. The loop
+ends by itself: each round replaces ≥ 2 relations by one temp table,
+and the root join is never materialized.
 
-``reoptimize`` is engine-agnostic: it plans, consults the oracle, and
-records every round (specs, sub-plans, temp tables). The harness then
-prices the outcome with the deterministic execution simulator
-(``simulated_exec_time``), and may replay the materializations and the
-final query in Spark (``run_reoptimized_spark``).
+``reoptimize`` is engine-agnostic: it plans, reads the truths, and
+records every round (specs, sub-plans, temp tables, truths). The
+harness then prices the outcome from those truths with the
+deterministic execution simulator (``simulated_exec_time``), and may
+replay the materializations and the final query in Spark
+(``run_reoptimized_spark``).
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from .cost import CostModel, ExecutionSimulator
 from .enumerate import PlannerResult, plan_query
 from .executor import SparkExecutor, true_cards
-from .plans import Join, PlanNode, join_nodes_bottom_up
+from .plans import Join, join_nodes_bottom_up
 from .qerror import qerror, triggers
 from .query import JoinEdge, QuerySpec, Relation
 from .truecard import TrueCardinalityOracle
@@ -55,11 +58,16 @@ class ReoptStep:
 
 @dataclass
 class ReoptOutcome:
-    """Everything a run of the re-optimization loop produced."""
+    """Everything a run of the re-optimization loop produced.
+
+    ``truths[i]`` maps every node of ``planner_results[i]``'s plan,
+    leaves and root included, to its true cardinality.
+    """
 
     final_spec: QuerySpec
     steps: list[ReoptStep] = field(default_factory=list)
     planner_results: list[PlannerResult] = field(default_factory=list)
+    truths: list[dict[frozenset[str], int]] = field(default_factory=list)
 
     @property
     def final_plan(self) -> PlannerResult:
@@ -129,22 +137,6 @@ def rewrite_with_temp(
     return new_spec, cols
 
 
-def _lowest_triggered(
-    spec: QuerySpec,
-    root: PlanNode,
-    oracle: TrueCardinalityOracle,
-    threshold: float,
-) -> tuple[Join, int] | None:
-    """Lowest non-root join whose Q-error trips the threshold."""
-    # Materializing the root would *be* the query.
-    nodes = [n for n in join_nodes_bottom_up(root) if n.aliases != spec.aliases]
-    truths = oracle.cards(spec, [spec.graph.mask(n.aliases) for n in nodes])
-    for node, truth in zip(nodes, truths):
-        if triggers(node.est_card, truth, threshold):
-            return node, truth
-    return None
-
-
 def reoptimize(
     spec: QuerySpec,
     estimator,
@@ -162,48 +154,51 @@ def reoptimize(
     estimator or perfect-(n) (paper Fig. 8 combines both).
     """
     outcome = ReoptOutcome(final_spec=spec)
-    pr = plan_query(spec, estimator, cost)
-    outcome.planner_results.append(pr)
-    while threshold is not None:
+    while True:
         cur = outcome.final_spec
-        hit = _lowest_triggered(cur, pr.plan.root, oracle, threshold)
-        if hit is None:
-            break
-        node, _ = hit
+        pr = plan_query(cur, estimator, cost)
+        truths = true_cards(cur, pr.plan.root, oracle)
+        outcome.planner_results.append(pr)
+        outcome.truths.append(truths)
+        if threshold is None:
+            return outcome
+        tripped = [
+            n
+            for n in join_nodes_bottom_up(pr.plan.root)
+            # Materializing the root would *be* the query.
+            if n.aliases != cur.aliases
+            and triggers(n.est_card, truths[n.aliases], threshold)
+        ]
+        if not tripped:
+            return outcome
+        node = tripped[0]
         rnd = len(outcome.steps)
         temp_name = f"{spec.name}_{tag}_t{rnd}"
         new_spec, cols = rewrite_with_temp(
             cur, node.aliases, temp_name, f"{spec.name}@{tag}{rnd + 1}"
         )
-        rows = oracle.register_temp(temp_name, cur, node.aliases, cols)
+        oracle.register_temp(temp_name, cur, node.aliases, cols)
         # Exact statistics for the materialized table — the mechanism by
         # which re-optimization corrects the estimator.
         estimator.catalog.stats[temp_name] = oracle.temp_stats(temp_name)
-        outcome.steps.append(ReoptStep(cur, node, temp_name, cols, rows))
+        outcome.steps.append(
+            ReoptStep(cur, node, temp_name, cols, truths[node.aliases])
+        )
         outcome.final_spec = new_spec
-        pr = plan_query(new_spec, estimator, cost)
-        outcome.planner_results.append(pr)
-    return outcome
 
 
 # ---------------------------------------------------------------------
 # Pricing an outcome.
 # ---------------------------------------------------------------------
 
-def simulated_exec_time(
-    outcome: ReoptOutcome,
-    sim: ExecutionSimulator,
-    oracle: TrueCardinalityOracle,
-) -> float:
-    """Deterministic runtime: each CREATE TEMP step + the final SELECT."""
+def simulated_exec_time(outcome: ReoptOutcome, sim: ExecutionSimulator) -> float:
+    """Deterministic runtime: each CREATE TEMP step + the final SELECT,
+    priced at the truths the loop kept."""
     total = 0.0
-    for step in outcome.steps:
-        cards = true_cards(step.spec_before, step.sub_node, oracle)
-        total += sim.plan_time(step.sub_node, cards)
+    for step, truths in zip(outcome.steps, outcome.truths):
+        total += sim.plan_time(step.sub_node, truths)
         total += sim.materialize_time(step.rows)
-    final = outcome.final_plan.plan.root
-    cards = true_cards(outcome.final_spec, final, oracle)
-    total += sim.plan_time(final, cards)
+    total += sim.plan_time(outcome.final_plan.plan.root, outcome.truths[-1])
     return total
 
 

@@ -55,12 +55,14 @@ class Catalog:
 
 #: Equi-depth histogram buckets per column.
 HIST_BINS = 100
+#: Most common values kept per column.
+MCV_TARGET = 100
 
 
-def analyze_pandas_table(pdf, table: str, *, mcv_target: int = 100) -> TableStats:
+def analyze_pandas_table(pdf, table: str) -> TableStats:
     """Compute :class:`TableStats` for one pandas DataFrame.
 
-    ``mcv_target`` and ``HIST_BINS`` play the role of PostgreSQL's
+    ``MCV_TARGET`` and ``HIST_BINS`` play the role of PostgreSQL's
     ``default_statistics_target`` (the paper maxes it out; 100 is
     plenty for IMDB-lite's value domains).
     """
@@ -71,7 +73,7 @@ def analyze_pandas_table(pdf, table: str, *, mcv_target: int = 100) -> TableStat
     for c in pdf.columns:
         if pd.api.types.is_datetime64_any_dtype(pdf[c]):
             continue
-        top = pdf[c].value_counts().head(mcv_target)
+        top = pdf[c].value_counts().head(MCV_TARGET)
         numeric = pd.api.types.is_numeric_dtype(pdf[c])
         ndv = int(pdf[c].nunique())
         mcvs = (

@@ -57,6 +57,7 @@ import duckdb
 
 from ..imdb.gen import Dataset
 from .query import JoinEdge, QuerySpec, Relation, result_select, select_sql
+from .stats import MCV_TARGET, ColumnStats, TableStats, _pynative
 
 _I64_MAX = 2**63 - 1
 #: float64 holds every integer below this, so ``bincount`` sums are exact.
@@ -348,22 +349,20 @@ class TrueCardinalityOracle:
         materialization; we get the same numbers from grouped tree
         counts — n_rows, per-column NDV and MCVs are exact.
         """
-        from .stats import ColumnStats, TableStats
-
         td = self._temps[name]
         n = self.card(td.spec, td.subset)
         cols: dict[str, ColumnStats] = {}
         for cname, (a, c) in td.cols.items():
             ba, bc = self._base_col(td.spec, a, c)
             s = self.group_counts(td.spec, td.subset, ba, bc)
-            top = s.sort_values(ascending=False).head(100)
+            top = s.sort_values(ascending=False).head(MCV_TARGET)
             cols[cname] = ColumnStats(
                 n_rows=n,
                 ndv=int(len(s)),
-                min_val=(s.index.min() if len(s) else None),
-                max_val=(s.index.max() if len(s) else None),
+                min_val=(_pynative(s.index.min()) if len(s) else None),
+                max_val=(_pynative(s.index.max()) if len(s) else None),
                 mcvs=tuple(
-                    (_py(v), cnt / n) for v, cnt in top.items() if n
+                    (_pynative(v), cnt / n) for v, cnt in top.items() if n
                 ),
                 hist=None,
             )
@@ -388,10 +387,6 @@ class TrueCardinalityOracle:
         if self._con is not None:
             self._con.close()
             self._con = None
-
-
-def _py(v):
-    return v.item() if hasattr(v, "item") else v
 
 
 def _total(w: np.ndarray, bound: int) -> int:

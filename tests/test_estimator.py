@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.estimator import PerfectEstimator, PostgresEstimator
+from repro.core.estimator import PerfectEstimator, PostgresEstimator, _removable
 from repro.core.query import Filter, JoinEdge, QuerySpec, Relation, connected_subsets
 from repro.core.reopt import rewrite_with_temp
 from repro.core.stats import Catalog
@@ -179,12 +179,30 @@ def test_perfect_catalog_property(perfect_est, catalog):
     assert perfect_est.catalog is catalog
 
 
-def test_removable_keeps_connectivity(perfect_est, q6d):
-    for s in connected_subsets(q6d):
-        if len(s) < 2:
-            continue
-        r = perfect_est._removable(q6d, s)
-        assert q6d.is_connected(s - {r})
+def test_removable_keeps_connectivity(specs):
+    for spec in specs[::10]:
+        g = spec.graph
+        for m in g.csgs():
+            if m.bit_count() < 2:
+                continue
+            r = _removable(g, m)
+            assert r & m and r.bit_count() == 1 and g.is_connected(m ^ r)
+            assert not any(
+                g.is_connected(m ^ b) for b in (1 << i for i in range(m.bit_length()))
+                if b > r and b & m
+            )
+
+
+@pytest.mark.parametrize("n", [0, 2, 17])
+def test_perfect_cards_equal_card_per_mask_bit_for_bit(catalog, oracle, specs, n):
+    # A lone mask above n is estimated through its own closure.
+    est = PerfectEstimator(n, oracle, catalog)
+    for spec in specs[::8]:
+        masks = sorted(spec.graph.csgs())
+        batch = est.cards(spec, masks).tolist()
+        single = [est.card(spec, spec.graph.subset(m)) for m in masks]
+        oracle.release(spec.name)
+        assert [x.hex() for x in batch] == [x.hex() for x in single], spec.name
 
 
 def reference_perfect(n, spec, oracle, pg):

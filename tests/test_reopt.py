@@ -3,14 +3,13 @@ import pandas as pd
 import pytest
 
 from repro.bench.harness import REOPT32, Harness
-from repro.core.cost import CostModel, ExecutionSimulator
+from repro.core.cost import CostModel
 from repro.core.enumerate import plan_query
 from repro.core.estimator import PerfectEstimator, PostgresEstimator
 from repro.core.executor import true_cards
-from repro.core.plans import Join, join_nodes_bottom_up, walk
-from repro.core.query import Filter, JoinEdge, QuerySpec, Relation
+from repro.core.plans import join_nodes_bottom_up, walk
+from repro.core.qerror import qerror
 from repro.core.reopt import (
-    _lowest_triggered,
     _materialize_cols,
     cleanup,
     reoptimize,
@@ -33,11 +32,9 @@ def own_oracle(ds):
 
 
 @pytest.fixture()
-def own_pg(ds, catalog):
-    # reopt mutates the catalog (temp stats), so give each test its own.
-    from repro.core.stats import analyze_pandas
-
-    return PostgresEstimator(analyze_pandas(ds))
+def own_pg(catalog):
+    # reopt adds temp stats to its catalog, so give each test its own copy.
+    return PostgresEstimator(Catalog(dict(catalog.stats)))
 
 
 # -- rewrite_with_temp -------------------------------------------------
@@ -88,33 +85,28 @@ def test_materialize_cols_deduped(q6d):
 
 # -- trigger selection -------------------------------------------------
 
-def test_lowest_triggered_picks_smallest_subtree(ds, own_pg, own_oracle, q6d, cost_model):
-    pr = plan_query(q6d, own_pg, cost_model)
-    hit = _lowest_triggered(q6d, pr.plan.root, own_oracle, 32.0)
-    assert hit is not None
-    node, truth = hit
-    trig_sizes = [
-        len(n.aliases)
-        for n in walk(pr.plan.root)
-        if isinstance(n, Join) and n.aliases != q6d.aliases
+def test_lowest_triggered_picks_smallest_subtree(own_pg, own_oracle, q6d, cost_model):
+    out = reoptimize(q6d, own_pg, cost_model, own_oracle, threshold=32.0, tag="lo")
+    assert out.n_replans >= 1
+    node = out.steps[0].sub_node
+    root = out.planner_results[0].plan.root
+    tripped = [
+        n for n in join_nodes_bottom_up(root)
+        if n.aliases != q6d.aliases
+        and qerror(n.est_card, own_oracle.card(q6d, n.aliases)) >= 32
     ]
-    assert len(node.aliases) == min(
-        len(n.aliases)
-        for n in walk(pr.plan.root)
-        if isinstance(n, Join)
-        and n.aliases != q6d.aliases
-        and max(own_oracle.card(q6d, n.aliases), 1) / max(n.est_card, 1) >= 32
-        or isinstance(n, Join)
-        and n.aliases != q6d.aliases
-        and max(n.est_card, 1) / max(own_oracle.card(q6d, n.aliases), 1) >= 32
-    )
-    assert truth == own_oracle.card(q6d, node.aliases)
+    assert node is tripped[0]
+    assert len(node.aliases) == min(len(n.aliases) for n in tripped)
+    assert out.steps[0].rows == own_oracle.card(q6d, node.aliases)
+    cleanup(out, own_oracle)
 
 
-def test_root_join_never_triggers(ds, own_pg, own_oracle, cost_model):
+def test_root_join_never_triggers(own_pg, own_oracle, cost_model):
     spec = workload.q_nasdaq()  # single join == root
-    pr = plan_query(spec, own_pg, cost_model)
-    assert _lowest_triggered(spec, pr.plan.root, own_oracle, 2.0) is None
+    out = reoptimize(spec, own_pg, cost_model, own_oracle, threshold=2.0)
+    root = out.final_plan.plan.root
+    assert qerror(root.est_card, out.truths[0][root.aliases]) >= 2.0
+    assert out.n_replans == 0
 
 
 def test_huge_threshold_never_triggers(ds, own_pg, own_oracle, q6d, cost_model):
@@ -134,10 +126,10 @@ def test_reoptimize_q6d_triggers_and_terminates(own_pg, own_oracle, q6d):
 
 def test_reoptimize_final_plan_has_no_triggers(own_pg, own_oracle, q6d):
     out = reoptimize(q6d, own_pg, CostModel(), own_oracle, threshold=32, tag="t2")
-    hit = _lowest_triggered(
-        out.final_spec, out.final_plan.plan.root, own_oracle, 32.0
-    )
-    assert hit is None
+    spec, root = out.final_spec, out.final_plan.plan.root
+    for n in join_nodes_bottom_up(root):
+        if n.aliases != spec.aliases:
+            assert qerror(n.est_card, own_oracle.card(spec, n.aliases)) < 32
     cleanup(out, own_oracle)
 
 
@@ -210,15 +202,56 @@ def test_loop_ends_by_itself_at_tau_one(own_pg, own_oracle, q6d):
     cleanup(out, own_oracle)
 
 
-def test_no_threshold_is_zero_rounds_without_the_oracle(own_pg, q6d, cost_model):
-    out = reoptimize(q6d, own_pg, cost_model, None, threshold=None)
+class SpyOracle:
+    """An oracle that records which of its methods were called."""
+
+    def __init__(self, oracle):
+        self.oracle, self.calls = oracle, []
+
+    def __getattr__(self, name):
+        method = getattr(self.oracle, name)
+
+        def spy(*args):
+            self.calls.append((name, args))
+            return method(*args)
+
+        return spy
+
+
+def test_no_threshold_reads_the_plan_truths_once(own_pg, own_oracle, q6d, cost_model):
+    spy = SpyOracle(own_oracle)
+    # At τ=1 q6d-lite re-optimizes; without τ there is no trigger check.
+    out = reoptimize(q6d, own_pg, cost_model, spy, threshold=None)
     assert out.n_replans == 0 and out.final_spec is q6d
     assert out.final_plan.plan == plan_query(q6d, own_pg, cost_model).plan
+    nodes = list(walk(out.final_plan.plan.root))
+    assert spy.calls == [("cards", (q6d, [q6d.graph.mask(n.aliases) for n in nodes]))]
+    assert out.truths == [true_cards(q6d, out.final_plan.plan.root, own_oracle)]
+
+
+def test_kept_truths_are_each_plans_true_rows(ds, catalog, specs):
+    """On every reopt-32 run of the workload, each round keeps the true
+    rows of every node of its plan, and each step's rows are the truth
+    of its sub-join."""
+    h = Harness(ds, Catalog(dict(catalog.stats)))
+    for spec in specs:
+        out = h.run_query(spec, REOPT32, keep_temps=True).outcome
+        specs_of_rounds = [s.spec_before for s in out.steps] + [out.final_spec]
+        assert len(out.truths) == len(out.planner_results) == len(specs_of_rounds)
+        for cur, pr, truths in zip(specs_of_rounds, out.planner_results, out.truths):
+            nodes = list(walk(pr.plan.root))
+            want = h.oracle.cards(cur, [cur.graph.mask(n.aliases) for n in nodes])
+            assert truths == dict(zip((n.aliases for n in nodes), want)), spec.name
+        for step, truths in zip(out.steps, out.truths):
+            assert step.rows == truths[step.sub_node.aliases]
+        cleanup(out, h.oracle)
+        h.oracle.release(spec.name)
+    h.oracle.close()
 
 
 def test_simulated_exec_time_decomposes(own_pg, own_oracle, q6d, sim):
     out = reoptimize(q6d, own_pg, CostModel(), own_oracle, threshold=32, tag="t8")
-    total = simulated_exec_time(out, sim, own_oracle)
+    total = simulated_exec_time(out, sim)
     parts = 0.0
     for step in out.steps:
         parts += sim.plan_time(
@@ -229,7 +262,7 @@ def test_simulated_exec_time_decomposes(own_pg, own_oracle, q6d, sim):
         out.final_plan.plan.root,
         true_cards(out.final_spec, out.final_plan.plan.root, own_oracle),
     )
-    assert total == pytest.approx(parts)
+    assert total == parts
     cleanup(out, own_oracle)
 
 
@@ -247,18 +280,16 @@ def test_reopt_improves_q6d_simulated_time(own_pg, own_oracle, q6d, sim, cost_mo
     pr = plan_query(q6d, own_pg, cost_model)
     t_pg = sim.plan_time(pr.plan.root, true_cards(q6d, pr.plan.root, own_oracle))
     out = reoptimize(q6d, own_pg, cost_model, own_oracle, threshold=8, tag="t10")
-    t_re = simulated_exec_time(out, sim, own_oracle)
+    t_re = simulated_exec_time(out, sim)
     assert out.n_replans >= 1
     assert t_re < t_pg
     cleanup(out, own_oracle)
 
 
-def test_lower_threshold_not_fewer_replans(ds, catalog, own_oracle, q6d):
-    from repro.core.stats import analyze_pandas
-
+def test_lower_threshold_not_fewer_replans(catalog, own_oracle, q6d):
     outs = {}
     for th in (2.0, 32.0, 1e6):
-        est = PostgresEstimator(analyze_pandas(ds))
+        est = PostgresEstimator(Catalog(dict(catalog.stats)))
         out = reoptimize(
             q6d, est, CostModel(), own_oracle, threshold=th, tag=f"th{int(th)}"
         )

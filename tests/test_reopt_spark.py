@@ -7,7 +7,7 @@ from repro.core.cost import CostModel
 from repro.core.estimator import PostgresEstimator
 from repro.core.executor import SparkExecutor
 from repro.core.reopt import cleanup, reoptimize, run_reoptimized_spark
-from repro.core.stats import analyze_pandas
+from repro.core.stats import Catalog
 from repro.core.truecard import TrueCardinalityOracle
 from repro.imdb import workload
 
@@ -23,8 +23,9 @@ def own_oracle(ds):
 
 
 @pytest.fixture()
-def own_pg(ds):
-    return PostgresEstimator(analyze_pandas(ds))
+def own_pg(catalog):
+    # reopt adds temp stats to its catalog, so give each test its own copy.
+    return PostgresEstimator(Catalog(dict(catalog.stats)))
 
 
 @pytest.mark.parametrize("qname,threshold", [

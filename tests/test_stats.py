@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import stats
 from repro.core.stats import (
     ColumnStats,
     analyze_pandas,
@@ -13,6 +14,13 @@ from repro.core.stats import (
 )
 
 
+def analyze_keeping(pdf, mcv_target):
+    """``analyze_pandas_table`` with ``mcv_target`` most common values."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "MCV_TARGET", mcv_target)
+        return analyze_pandas_table(pdf, "t")
+
+
 @pytest.fixture(scope="module")
 def skewed_ts():
     pdf = pd.DataFrame(
@@ -21,7 +29,7 @@ def skewed_ts():
             "u": list(range(100)),
         }
     )
-    return analyze_pandas_table(pdf, "t", mcv_target=3)
+    return analyze_keeping(pdf, 3)
 
 
 def test_n_rows_and_ndv(skewed_ts):
@@ -67,14 +75,14 @@ def test_in_selectivity_sums_and_caps(skewed_ts):
 
 def test_range_selectivity_uniform():
     pdf = pd.DataFrame({"x": np.arange(1000)})
-    cs = analyze_pandas_table(pdf, "t", mcv_target=0).columns["x"]
+    cs = analyze_keeping(pdf, 0).columns["x"]
     assert range_selectivity(cs, "<", 500) == pytest.approx(0.5, abs=0.05)
     assert range_selectivity(cs, ">", 900) == pytest.approx(0.1, abs=0.05)
 
 
 def test_range_selectivity_extremes():
     pdf = pd.DataFrame({"x": np.arange(100)})
-    cs = analyze_pandas_table(pdf, "t", mcv_target=0).columns["x"]
+    cs = analyze_keeping(pdf, 0).columns["x"]
     assert range_selectivity(cs, "<", -5) == pytest.approx(0.0, abs=0.01)
     assert range_selectivity(cs, ">", 1000) == pytest.approx(0.0, abs=0.01)
     assert range_selectivity(cs, "<=", 1000) == pytest.approx(1.0, abs=0.01)
@@ -88,7 +96,7 @@ def test_range_selectivity_includes_mcv_mass(skewed_ts):
 
 def test_range_on_constant_column():
     pdf = pd.DataFrame({"x": [7] * 10})
-    cs = analyze_pandas_table(pdf, "t", mcv_target=0).columns["x"]
+    cs = analyze_keeping(pdf, 0).columns["x"]
     assert range_selectivity(cs, "<=", 7) == pytest.approx(1.0)
     assert range_selectivity(cs, "<", 7) == pytest.approx(0.0)
 

@@ -6,7 +6,7 @@ from repro.bench.harness import QueryRun
 
 
 def run(name, sim):
-    return QueryRun(name=name, n_tables=5, config="x", sim_time=sim, outcome=None)
+    return QueryRun(name=name, config="x", sim_time=sim, outcome=None)
 
 
 def test_paper_tables_sum_to_113():
