@@ -32,13 +32,22 @@ Whether a spec is a tree on dense keys is decided once per spec; cyclic
 graphs and non-dense keys fall back to DuckDB SQL, whose connection is
 opened on first use.
 
+A leaf is never copied: a relation's filters are evaluated on the
+whole table and kept as the row indices they pass (none for an
+unfiltered relation) with their count, and a key column is gathered
+from the table through those indices once.
+
 Re-optimization temp tables are **virtual** here: ``register_temp``
-records which sub-join a temp stands for, each spec is flattened once
-to base relations, and ``temp_stats`` derives the temp's exact column
-statistics from the same messages (grouped by the column) — so the
-simulation path never materializes an intermediate, no matter how
-large. The *Spark* replay of a re-optimized query does materialize,
-which is the honest execution cost.
+only records which sub-join a temp stands for. Each spec is flattened
+to base relations once, and that flattening holds for as long as the
+temps it names stay registered: registering a new temp cannot change
+it (a spec naming a temp cannot be flattened before the temp exists);
+dropping one, or registering a live name again, does. ``temp_stats`` derives the temp's exact column
+statistics from the same messages (one weighted bincount per column,
+summarized in numpy) — so the simulation path never materializes an
+intermediate, no matter how large. The *Spark* replay of a
+re-optimized query does materialize, which is the honest execution
+cost.
 
 Counts are memoized per canonical sub-join (relations sorted by alias;
 join edges with sorted endpoints, sorted). A rewritten spec flattens to
@@ -133,9 +142,10 @@ class TrueCardinalityOracle:
         self._con: duckdb.DuckDBPyConnection | None = None  # see _duck
         self._memo: dict[tuple, int] = {}
         self._temps: dict[str, _TempDef] = {}
-        #: filtered per-(table, filters) frames, and their columns by
+        #: (table, filters) → (indices of the rows the filters pass, None
+        #: for no filters; their count), and the gathered columns by
         #: (table, filters, col).
-        self._leaf_cache: dict[tuple, pd.DataFrame] = {}
+        self._leaf_cache: dict[tuple, tuple[np.ndarray | None, int]] = {}
         self._col_cache: dict[tuple, np.ndarray] = {}
         #: flat graphs by their memo key, so equal flattenings share messages.
         self._graphs: dict[tuple, _FlatGraph] = {}
@@ -193,7 +203,7 @@ class TrueCardinalityOracle:
         hit = self._specs.get(id(spec))  # the entry holds spec: no id reuse
         if hit is None:
             g = _FlatGraph(*self._expand(spec, None), self._dense_max,
-                           lambda rel: len(self._leaf(rel)))
+                           lambda rel: self._leaf(rel)[1])
             g = self._graphs.setdefault(g.key, g)
             parts = [g.graph.mask(r.alias for r in self._expand(spec, frozenset([a]))[0])
                      for a in spec.graph.aliases]
@@ -246,13 +256,17 @@ class TrueCardinalityOracle:
         return self._duck().execute(sql).fetchdf()
 
     # -- Yannakakis counting over tree-shaped flat graphs ----------------
-    def _leaf(self, rel: Relation) -> pd.DataFrame:
+    def _leaf(self, rel: Relation) -> tuple[np.ndarray | None, int]:
+        """Indices of ``rel``'s filtered rows (None: all rows) and their count."""
         key = (rel.table, rel.filters)
         if key not in self._leaf_cache:
             pdf = self._tables[rel.table]
-            for f in rel.filters:
-                pdf = pdf[f.mask(pdf[f.col])]
-            self._leaf_cache[key] = pdf
+            if rel.filters:
+                idx = np.flatnonzero(np.logical_and.reduce(
+                    [f.mask(pdf[f.col]).to_numpy() for f in rel.filters]))
+                self._leaf_cache[key] = idx, len(idx)
+            else:
+                self._leaf_cache[key] = None, len(pdf)
         return self._leaf_cache[key]
 
     def _col(self, g: _FlatGraph, x: int, col: str) -> np.ndarray:
@@ -260,7 +274,9 @@ class TrueCardinalityOracle:
         rel = g.spec.relations[x]
         key = (rel.table, rel.filters, col)
         if key not in self._col_cache:
-            self._col_cache[key] = self._leaf(rel)[col].to_numpy()
+            idx, _ = self._leaf(rel)
+            v = self._tables[rel.table][col].to_numpy()
+            self._col_cache[key] = v if idx is None else v[idx]
         return self._col_cache[key]
 
     def _tree_count(self, g: _FlatGraph, f: int) -> int:
@@ -310,10 +326,11 @@ class TrueCardinalityOracle:
                 w = w.astype(object) * looked.astype(object)
         return w, bound
 
-    def group_counts(
+    def _value_counts(
         self, spec: QuerySpec, subset: frozenset[str], alias: str, col: str
-    ) -> pd.Series:
-        """``value → #join-rows`` of ``alias.col`` within the sub-join.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct values of ``alias.col`` within the sub-join, sorted,
+        and each one's ``#join-rows`` (never 0).
 
         The exact value distribution of one column of the (virtual)
         join result — one bincount of the alias's rows weighted by its
@@ -324,45 +341,62 @@ class TrueCardinalityOracle:
         if not g.is_tree(g.canon(f)):
             s = g.graph.subset(f)
             sql = (f"SELECT {alias}.{col} AS v, COUNT(*) AS c FROM "
-                   f"{g.spec.from_sql(s)} WHERE {g.spec.where_sql(s)} GROUP BY 1")
+                   f"{g.spec.from_sql(s)} WHERE {g.spec.where_sql(s)} "
+                   "GROUP BY 1 ORDER BY 1")
             pdf = self._duck().execute(sql).fetchdf()
-            return pd.Series(pdf["c"].to_numpy(), index=pdf["v"].to_numpy())
+            return pdf["v"].to_numpy(), pdf["c"].to_numpy()
         x = g.graph.index[alias]
         w, bound = self._weights(g, f, x)
         vals, inv = np.unique(self._col(g, x, col), return_inverse=True)
-        s = pd.Series(_bincount(inv, w, bound, len(vals))[0], index=vals)
-        return s[s > 0]
+        counts = _bincount(inv, w, bound, len(vals))[0]
+        seen = counts > 0
+        return vals[seen], counts[seen]
+
+    def group_counts(
+        self, spec: QuerySpec, subset: frozenset[str], alias: str, col: str
+    ) -> pd.Series:
+        """``value → #join-rows`` of ``alias.col`` within the sub-join
+        (see :meth:`_value_counts`)."""
+        vals, counts = self._value_counts(spec, subset, alias, col)
+        return pd.Series(counts, index=vals)
 
     # -- virtual temp tables (re-optimization support) -----------------
     def register_temp(self, name: str, spec: QuerySpec, subset: frozenset[str],
-                      cols: list[tuple[str, str]]) -> int:
-        """Declare temp ``name`` := the sub-join; return its row count."""
+                      cols: list[tuple[str, str]]) -> None:
+        """Declare temp ``name`` := the sub-join of ``subset`` in ``spec``."""
+        if name in self._temps:
+            # Specs flattened since may have expanded the old definition.
+            self._specs.clear()
         temp_cols = {f"{a}__{c}": (a, c) for a, c in cols}
         self._temps[name] = _TempDef(spec=spec, subset=subset, cols=temp_cols)
-        self._specs.clear()  # flattenings may name the temp
-        return self.card(spec, subset)
 
     def temp_stats(self, name: str):
         """Exact :class:`~repro.core.stats.TableStats` for a virtual temp.
 
         PostgreSQL gets temp-table statistics as a side effect of
         materialization; we get the same numbers from grouped tree
-        counts — n_rows, per-column NDV and MCVs are exact.
+        counts — n_rows, per-column NDV and MCVs are exact. MCVs come in
+        the order of pandas' ``sort_values(ascending=False)`` over the
+        sorted values, ties included.
         """
         td = self._temps[name]
         n = self.card(td.spec, td.subset)
         cols: dict[str, ColumnStats] = {}
         for cname, (a, c) in td.cols.items():
-            ba, bc = self._base_col(td.spec, a, c)
-            s = self.group_counts(td.spec, td.subset, ba, bc)
-            top = s.sort_values(ascending=False).head(MCV_TARGET)
+            vals, counts = self._value_counts(
+                td.spec, td.subset, *self._base_col(td.spec, a, c))
+            # pandas' descending quicksort (nargsort): reverse, argsort,
+            # reverse back.
+            top = (len(counts) - 1 - counts[::-1].argsort(kind="quicksort"))[::-1]
+            top = top[:MCV_TARGET]
             cols[cname] = ColumnStats(
                 n_rows=n,
-                ndv=int(len(s)),
-                min_val=(_pynative(s.index.min()) if len(s) else None),
-                max_val=(_pynative(s.index.max()) if len(s) else None),
+                ndv=len(vals),
+                min_val=(_pynative(vals[0]) if len(vals) else None),
+                max_val=(_pynative(vals[-1]) if len(vals) else None),
                 mcvs=tuple(
-                    (_pynative(v), cnt / n) for v, cnt in top.items() if n
+                    (v, cnt / n)
+                    for v, cnt in zip(vals[top].tolist(), counts[top].tolist()) if n
                 ),
                 hist=None,
             )

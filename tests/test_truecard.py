@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.bench.harness import REOPT32, Harness
 from repro.core.query import Filter, JoinEdge, QuerySpec, Relation, connected_subsets
-from repro.core.reopt import rewrite_with_temp
+from repro.core.reopt import cleanup, rewrite_with_temp
+from repro.core.stats import MCV_TARGET, Catalog, ColumnStats, TableStats, _pynative
 from repro.core.truecard import TrueCardinalityOracle
 from repro.imdb import workload
 from repro.imdb.gen import Dataset
@@ -79,22 +81,46 @@ def test_empty_filter_subset_counts_zero(ds, oracle):
     assert oracle.card(spec) == 0
 
 
+# triangle: ci-t via movie_id, mk-t via movie_id, ci-mk via movie_id
+CYCLIC = QuerySpec(
+    name="cyc",
+    relations=(
+        Relation("t", "title", (Filter("production_year", ">", 2010),)),
+        Relation("ci", "cast_info"),
+        Relation("mk", "movie_keyword"),
+    ),
+    joins=(
+        JoinEdge("ci", "movie_id", "t", "id"),
+        JoinEdge("mk", "movie_id", "t", "id"),
+        JoinEdge("ci", "movie_id", "mk", "movie_id"),
+    ),
+)
+
+
 def test_cyclic_subset_falls_back_to_duckdb(ds, oracle):
-    # triangle: ci-t via movie_id, mk-t via movie_id, ci-mk via movie_id
-    spec = QuerySpec(
-        name="cyc",
-        relations=(
-            Relation("t", "title", (Filter("production_year", ">", 2010),)),
-            Relation("ci", "cast_info"),
-            Relation("mk", "movie_keyword"),
-        ),
-        joins=(
-            JoinEdge("ci", "movie_id", "t", "id"),
-            JoinEdge("mk", "movie_id", "t", "id"),
-            JoinEdge("ci", "movie_id", "mk", "movie_id"),
-        ),
-    )
-    assert oracle.card(spec) == duck_count(ds, spec.count_sql())
+    assert oracle.card(CYCLIC) == duck_count(ds, CYCLIC.count_sql())
+
+
+def test_leaves_match_sequential_pandas_filtering(ds, specs):
+    orc = TrueCardinalityOracle(ds)
+    seen = set()
+    for spec in specs:
+        g, _ = orc._flat(spec, 0)
+        for rel in spec.relations:
+            keys = {j.side(rel.alias)[0] for j in spec.joins if rel.alias in j.aliases}
+            if (rel.table, rel.filters, frozenset(keys)) in seen:
+                continue
+            seen.add((rel.table, rel.filters, frozenset(keys)))
+            pdf = ds.tables[rel.table]
+            for f in rel.filters:
+                pdf = pdf[f.mask(pdf[f.col])]
+            assert orc._leaf(rel)[1] == len(pdf), rel
+            for c in keys:
+                got = orc._col(g, g.graph.index[rel.alias], c)
+                want = pdf[c].to_numpy()
+                assert got.dtype == want.dtype and np.array_equal(got, want), (rel, c)
+        orc.release(spec.name)
+    assert len(seen) > 100
 
 
 def test_group_counts_match_sql(ds, oracle, q6d):
@@ -125,11 +151,31 @@ def own_oracle(ds):
     return TrueCardinalityOracle(ds)
 
 
-def test_register_temp_returns_subjoin_count(ds, own_oracle, q6d):
+def test_registered_temp_counts_its_subjoin(ds, own_oracle, q6d):
     sub = frozenset({"k", "mk"})
     new_spec, cols = rewrite_with_temp(q6d, sub, "tt0", "q6d@1")
-    rows = own_oracle.register_temp("tt0", q6d, sub, cols)
-    assert rows == duck_count(ds, q6d.count_sql(sub))
+    own_oracle.register_temp("tt0", q6d, sub, cols)
+    assert own_oracle.card(new_spec, frozenset({"tt0"})) == duck_count(
+        ds, q6d.count_sql(sub)
+    )
+
+
+def test_reregistering_a_live_name_counts_the_new_definition(ds, own_oracle, q6d):
+    sub = frozenset({"k", "mk"})
+    new_spec, cols = rewrite_with_temp(q6d, sub, "tt2", "q6d@1")
+    own_oracle.register_temp("tt2", q6d, sub, cols)
+    s = frozenset({"tt2", "t"})
+    old = own_oracle.card(new_spec, s)  # flattens new_spec on the first definition
+    # Same name and columns; the temp now drops keyword's filter.
+    unfiltered = QuerySpec(
+        q6d.name,
+        tuple(Relation(r.alias, r.table) if r.alias == "k" else r for r in q6d.relations),
+        q6d.joins,
+    )
+    own_oracle.register_temp("tt2", unfiltered, sub, cols)
+    want = duck_count(ds, unfiltered.count_sql(sub | {"t"}))
+    assert want != old
+    assert own_oracle.card(new_spec, s) == want
 
 
 def test_rewritten_spec_counts_match_original(ds, own_oracle, q6d):
@@ -175,6 +221,52 @@ def test_temp_stats_exact(ds, own_oracle, q6d):
         top_val, top_cnt = mat[cname].value_counts().head(1).reset_index().iloc[0]
         got = dict(ts.columns[cname].mcvs)
         assert got[top_val] == pytest.approx(top_cnt / len(mat))
+
+
+def pandas_temp_stats(orc, name):
+    """The pandas summary of a temp's group counts that ``temp_stats``
+    replaced (``Series.sort_values``, index min/max), as a reference."""
+    td = orc._temps[name]
+    n = orc.card(td.spec, td.subset)
+    cols = {}
+    for cname, (a, c) in td.cols.items():
+        s = orc.group_counts(td.spec, td.subset, *orc._base_col(td.spec, a, c))
+        top = s.sort_values(ascending=False).head(MCV_TARGET)
+        cols[cname] = ColumnStats(
+            n_rows=n,
+            ndv=int(len(s)),
+            min_val=(_pynative(s.index.min()) if len(s) else None),
+            max_val=(_pynative(s.index.max()) if len(s) else None),
+            mcvs=tuple((_pynative(v), cnt / n) for v, cnt in top.items() if n),
+            hist=None,
+        )
+    return TableStats(table=name, n_rows=n, columns=cols)
+
+
+def test_temp_stats_equal_pandas_reference_on_every_reopt_temp(ds, catalog, specs):
+    h = Harness(ds, Catalog(dict(catalog.stats)))
+    n_temps = 0
+    for spec in specs:
+        run = h.run_query(spec, REOPT32, keep_temps=True)
+        for step in run.outcome.steps:
+            want = repr(pandas_temp_stats(h.oracle, step.temp_name))
+            assert repr(h.catalog.stats[step.temp_name]) == want, step.temp_name
+            n_temps += 1
+        cleanup(run.outcome, h.oracle)
+        h.oracle.release(spec.name)
+    assert n_temps > 100
+
+
+def test_temp_stats_deterministic_on_cyclic_spec(ds):
+    cols = [("t", "id"), ("ci", "person_id"), ("mk", "keyword_id")]
+    got = []
+    for _ in range(2):
+        orc = TrueCardinalityOracle(ds)
+        orc.register_temp("cy0", CYCLIC, CYCLIC.aliases, cols)
+        got.append(repr(orc.temp_stats("cy0")))
+        assert orc._con is not None  # the DuckDB fallback counted it
+        orc.close()
+    assert got[0] == got[1]
 
 
 def test_result_on_rewritten_spec_matches_original(ds, own_oracle, q6d):
@@ -249,6 +341,12 @@ def test_counts_are_exact_past_float_and_int64_range(shape, n_rel):
     for r in rels:
         gc = orc.group_counts(spec, spec.aliases, r.alias, "k")
         assert list(gc.index) == [0] and gc.sum() == n**n_rel
+    # Object-array counts summarize as the pandas reference does.
+    orc.register_temp("big0", spec, spec.aliases, [(r.alias, "k") for r in rels])
+    vals, counts = orc._value_counts(spec, spec.aliases, "a0", "k")
+    assert vals.tolist() == [0] and counts.tolist() == [n**n_rel]
+    assert (counts.dtype == object) == (n**n_rel >= 2**63)
+    assert repr(orc.temp_stats("big0")) == repr(pandas_temp_stats(orc, "big0"))
     assert orc._con is None  # no DuckDB fallback
     # Every connected subset of k relations counts n**k, in one batch.
     batch = TrueCardinalityOracle(Dataset(sf=0.0, seed=0, tables=tables))
