@@ -5,6 +5,8 @@ session fixture; this test times one representative (query, config)
 unit — planning + simulated execution of the longest query under
 perfect-(17) — and prints the whole table, paper vs ours.
 """
+import dataclasses
+
 from repro.bench import tables as T
 from repro.bench.harness import PERFECT
 
@@ -16,7 +18,9 @@ def test_table2_pg_vs_perfect(
     longest = max(bench_specs, key=lambda q: pg[q.name].sim_time)
 
     benchmark.pedantic(
-        lambda: bench_harness.run_query(longest, PERFECT),
+        # A new spec object each round: the harness would reuse the
+        # round 0 it planned for the same object last time.
+        lambda: bench_harness.run_query(dataclasses.replace(longest), PERFECT),
         rounds=3,
         iterations=1,
     )

@@ -5,7 +5,9 @@
 
 ``--sf`` is the IMDB-lite scale factor (tests use 0.01, benchmarks 0.1)
 and ``--seed`` the data seed; the output is deterministic in both,
-except the threshold sweep's wall-clock planning seconds. Tables print
+except the threshold sweep's wall-clock planning seconds. Every τ of
+that sweep starts from the same round 0 as pg, so their planning
+seconds share one round-0 measurement per query. Tables print
 the paper's numbers next to ours. The Spark wall-clock top-N replay is
 ``benchmarks/bench_top20_spark.py``.
 """

@@ -15,6 +15,8 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 _CMP = {"=": operator.eq, "<": operator.lt, "<=": operator.le,
         ">": operator.gt, ">=": operator.ge}
 
@@ -45,8 +47,11 @@ class Filter:
         return f"{alias}.{self.col} {self.op} {_sql_literal(self.value)}"
 
     def mask(self, col):
-        """``col op value`` on a pandas ``Series`` or a Spark ``Column``."""
+        """``col op value`` on a numpy array, a pandas ``Series`` or a
+        Spark ``Column``."""
         if self.op == "in":
+            if isinstance(col, np.ndarray):
+                return np.isin(col, self.value)
             return col.isin(list(self.value))
         return _CMP[self.op](col, self.value)
 

@@ -19,6 +19,12 @@ runs no trigger check, and the outcome is the ordinary plan. The loop
 ends by itself: each round replaces ≥ 2 relations by one temp table,
 and the root join is never materialized.
 
+Round 0 is the plain run — the plan the optimizer already chose and its
+``EXPLAIN ANALYZE`` truths (:func:`plan_round`) — so a caller that has
+it passes it as ``first=`` and the loop starts from it instead of
+planning it again: the harness shares one round 0 between all the
+configs of a query that use the same estimator.
+
 ``reoptimize`` is engine-agnostic: it plans, reads the truths, and
 records every round (specs, sub-plans, temp tables, truths). The
 harness then prices the outcome from those truths with the
@@ -137,6 +143,18 @@ def rewrite_with_temp(
     return new_spec, cols
 
 
+#: One planning round: the plan and the true rows of each of its nodes.
+Round = tuple[PlannerResult, dict[frozenset[str], int]]
+
+
+def plan_round(
+    spec: QuerySpec, estimator, cost: CostModel, oracle: TrueCardinalityOracle
+) -> Round:
+    """Plan ``spec`` and read the truth of every node of the plan."""
+    pr = plan_query(spec, estimator, cost)
+    return pr, true_cards(spec, pr.plan.root, oracle)
+
+
 def reoptimize(
     spec: QuerySpec,
     estimator,
@@ -145,19 +163,21 @@ def reoptimize(
     *,
     threshold: float | None = 32.0,
     tag: str = "r",
+    first: Round | None = None,
 ) -> ReoptOutcome:
     """Run the full re-optimization loop (engine-agnostic).
 
     ``threshold=None`` makes zero rounds: the outcome is the plain plan.
     ``tag`` namespaces temp tables so different configurations sharing
     one oracle never collide. ``estimator`` may be the PostgreSQL
-    estimator or perfect-(n) (paper Fig. 8 combines both).
+    estimator or perfect-(n) (paper Fig. 8 combines both). ``first``,
+    if given, is :func:`plan_round` of ``spec`` under ``estimator``; it
+    becomes round 0 of a new outcome instead of being planned again.
     """
     outcome = ReoptOutcome(final_spec=spec)
+    pr, truths = first or plan_round(spec, estimator, cost, oracle)
     while True:
         cur = outcome.final_spec
-        pr = plan_query(cur, estimator, cost)
-        truths = true_cards(cur, pr.plan.root, oracle)
         outcome.planner_results.append(pr)
         outcome.truths.append(truths)
         if threshold is None:
@@ -185,6 +205,7 @@ def reoptimize(
             ReoptStep(cur, node, temp_name, cols, truths[node.aliases])
         )
         outcome.final_spec = new_spec
+        pr, truths = plan_round(new_spec, estimator, cost, oracle)
 
 
 # ---------------------------------------------------------------------

@@ -49,11 +49,19 @@ intermediate, no matter how large. The *Spark* replay of a
 re-optimized query does materialize, which is the honest execution
 cost.
 
-Counts are memoized per canonical sub-join (relations sorted by alias;
-join edges with sorted endpoints, sorted). A rewritten spec flattens to
-its original's graph, so it reuses the original's counts and messages,
-and one harness run shares a single oracle across PG / perfect-(n) /
-re-optimization configs, so each distinct sub-join is counted once.
+A rewritten spec takes the flat graph and flat masks of the spec it was
+rewritten from directly, the temp's mask being its subset's, so it
+reuses that spec's counts and messages without expanding its temps or
+building a graph. Any other spec is expanded, and equal flattenings are
+interned to one graph: an original is flattened again after
+``drop_temp``.
+
+Counts are memoized twice: per flat graph by flat mask, and across
+graphs per canonical sub-join (relations sorted by alias; join edges
+with sorted endpoints, sorted), whose key is built only when the
+graph's own memo misses. One harness run shares a single oracle across
+PG / perfect-(n) / re-optimization configs, so each distinct sub-join
+is counted once.
 """
 from __future__ import annotations
 
@@ -120,6 +128,8 @@ class _FlatGraph:
                 self.side[y, x] = full ^ self.side[x, y]
         if self.tree:
             self.rows = [n_rows(r) for r in self.spec.relations]
+        #: flat mask → count, read before the canonical memo key is built.
+        self.counts: dict[int, int] = {}
 
     def canon(self, f: int) -> tuple:
         """Count memo key of the sub-join on flat mask ``f``."""
@@ -198,18 +208,56 @@ class TrueCardinalityOracle:
         return self._base_col(td.spec, *td.cols[col])
 
     def _flat(self, spec: QuerySpec, mask: int) -> tuple[_FlatGraph, int]:
-        """``spec``'s flat graph, built once per spec, and the flat mask of
-        its ``spec.graph`` mask ``mask``."""
+        """``spec``'s flat graph and the flat mask of its ``spec.graph``
+        mask ``mask``."""
+        g, parts = self._flattening(spec)
+        return g, sum(p for i, p in enumerate(parts) if mask >> i & 1)
+
+    def _flattening(self, spec: QuerySpec) -> tuple[_FlatGraph, list[int]]:
+        """``spec``'s flat graph and the flat mask of each ``spec.graph``
+        bit, built once per spec."""
         hit = self._specs.get(id(spec))  # the entry holds spec: no id reuse
         if hit is None:
-            g = _FlatGraph(*self._expand(spec, None), self._dense_max,
-                           lambda rel: self._leaf(rel)[1])
-            g = self._graphs.setdefault(g.key, g)
-            parts = [g.graph.mask(r.alias for r in self._expand(spec, frozenset([a]))[0])
-                     for a in spec.graph.aliases]
+            g, parts = self._rewrite_flattening(spec) or self._expand_flattening(spec)
             hit = self._specs[id(spec)] = (spec, g, parts)
-        _, g, parts = hit
-        return g, sum(p for i, p in enumerate(parts) if mask >> i & 1)
+        return hit[1], hit[2]
+
+    def _expand_flattening(self, spec: QuerySpec) -> tuple[_FlatGraph, list[int]]:
+        """Build ``spec``'s flat graph from its temps' expansion."""
+        g = _FlatGraph(*self._expand(spec, None), self._dense_max,
+                       lambda rel: self._leaf(rel)[1])
+        g = self._graphs.setdefault(g.key, g)
+        return g, [g.graph.mask(r.alias for r in self._expand(spec, frozenset([a]))[0])
+                   for a in spec.graph.aliases]
+
+    def _rewrite_flattening(
+        self, spec: QuerySpec
+    ) -> tuple[_FlatGraph, list[int]] | None:
+        """The flattening of the temp's source spec if ``spec`` is that
+        source rewritten around its last relation, a temp, as
+        ``rewrite_with_temp`` makes it (else None): the source's
+        relations outside the temp's subset, then the temp, and the
+        source's joins outside the subset with the crossing ones moved
+        onto the temp. The temp's flat mask is its subset's."""
+        temp = spec.relations[-1]
+        td = self._temps.get(temp.table)
+        if td is None or spec.relations[:-1] != tuple(
+                r for r in td.spec.relations if r.alias not in td.subset):
+            return None
+
+        def ends(j: JoinEdge) -> tuple:
+            """The join's endpoints in the source's terms, sorted."""
+            return tuple(sorted(td.cols.get(c, (a, c)) if a == temp.alias else (a, c)
+                                for a, c in ((j.left_alias, j.left_col),
+                                             (j.right_alias, j.right_col))))
+
+        if sorted(map(ends, spec.joins)) != sorted(
+                ends(j) for j in td.spec.joins if not j.aliases <= td.subset):
+            return None
+        g, parts = self._flattening(td.spec)
+        of = dict(zip(td.spec.graph.aliases, parts))
+        of[temp.alias] = sum(of[a] for a in td.subset)
+        return g, [of[a] for a in spec.graph.aliases]
 
     # -- counting ------------------------------------------------------
     def cards(self, spec: QuerySpec, masks) -> list[int]:
@@ -224,15 +272,18 @@ class TrueCardinalityOracle:
         return self.cards(spec, [spec.graph.mask(subset)])[0]
 
     def _count(self, g: _FlatGraph, f: int) -> int:
-        key = g.canon(f)
-        if key not in self._memo:
-            self.n_counts += 1
-            if g.is_tree(key):
-                self._memo[key] = self._tree_count(g, f)
-            else:
-                sql = g.spec.count_sql(g.graph.subset(f))
-                self._memo[key] = int(self._duck().execute(sql).fetchone()[0])
-        return self._memo[key]
+        n = g.counts.get(f)
+        if n is None:
+            key = g.canon(f)
+            if key not in self._memo:
+                self.n_counts += 1
+                if g.is_tree(key):
+                    self._memo[key] = self._tree_count(g, f)
+                else:
+                    sql = g.spec.count_sql(g.graph.subset(f))
+                    self._memo[key] = int(self._duck().execute(sql).fetchone()[0])
+            n = g.counts[f] = self._memo[key]
+        return n
 
     def _dense_max(self, table: str, col: str) -> int | None:
         """Max of ``table.col`` if all its values are ints in [0, key bound]."""
@@ -263,7 +314,7 @@ class TrueCardinalityOracle:
             pdf = self._tables[rel.table]
             if rel.filters:
                 idx = np.flatnonzero(np.logical_and.reduce(
-                    [f.mask(pdf[f.col]).to_numpy() for f in rel.filters]))
+                    [f.mask(pdf[f.col].to_numpy()) for f in rel.filters]))
                 self._leaf_cache[key] = idx, len(idx)
             else:
                 self._leaf_cache[key] = None, len(pdf)

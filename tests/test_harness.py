@@ -1,9 +1,13 @@
 """Harness tests on a small workload slice (simulation + Spark pass)."""
+import dataclasses
+
 import pytest
 
 from repro.bench.harness import PG, PERFECT, REOPT32, Config, Harness, total_times
 from repro.core.estimator import PerfectEstimator, PostgresEstimator
 from repro.core.executor import SparkExecutor, true_cards
+from repro.core.reopt import cleanup, reoptimize, simulated_exec_time
+from repro.core.stats import Catalog
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +75,68 @@ def test_config_dataclass_defaults():
     assert c.perfect_n is None and c.reopt_threshold is None
     assert PG.name == "pg" and PERFECT.perfect_n == 17
     assert REOPT32.reopt_threshold == 32.0
+
+
+# -- round 0 shared across the configs of a query ----------------------
+
+def test_reopt_after_pg_equals_a_fresh_loop(ds, catalog, specs):
+    """On every query, reopt-32 run after pg starts from pg's round and
+    equals the whole loop run on a fresh harness, round by round; the pg
+    outcome keeps its one round."""
+    h = Harness(ds, Catalog(dict(catalog.stats)))
+    fresh = Harness(ds, Catalog(dict(catalog.stats)))
+    n_replans = 0
+    for spec in specs:
+        pg = h.run_query(spec, PG)
+        ro = h.run_query(spec, REOPT32)
+        want = reoptimize(spec, fresh.estimator(None), fresh.cost, fresh.oracle,
+                          threshold=32.0, tag="reopt32")
+        got = ro.outcome
+        assert len(pg.outcome.planner_results) == len(pg.outcome.truths) == 1
+        assert got.planner_results[0] is pg.outcome.final_plan
+        assert got.truths[0] is pg.outcome.truths[0]
+        assert len(got.planner_results) == len(want.planner_results), spec.name
+        for a, b in zip(got.planner_results, want.planner_results):
+            assert a.plan.pretty() == b.plan.pretty(), spec.name
+            assert repr(a.plan.est_cost) == repr(b.plan.est_cost), spec.name
+        assert got.truths == want.truths, spec.name
+        assert got.steps == want.steps, spec.name
+        assert ro.sim_time == simulated_exec_time(want, fresh.sim), spec.name
+        n_replans += ro.n_replans
+        cleanup(want, fresh.oracle)
+        for o in (h.oracle, fresh.oracle):
+            o.release(spec.name)
+    assert n_replans > 50
+
+
+def test_round_zero_shared_whatever_the_config_order(ds, catalog, slice_specs):
+    h = Harness(ds, Catalog(dict(catalog.stats)))
+    res = h.run_workload(slice_specs, [REOPT32, PG, PERFECT])
+    for spec in slice_specs:
+        ro, pg, pf = (res[c][spec.name].outcome for c in ("reopt-32", "pg", "perfect-17"))
+        assert pg.planner_results == [ro.planner_results[0]]
+        assert pg.truths[0] is ro.truths[0]
+        # perfect-17 has its own round 0.
+        assert pf.planner_results[0] is not pg.planner_results[0]
+
+
+def test_round_zero_is_kept_for_one_spec_object_only(ds, catalog, slice_specs):
+    h = Harness(ds, Catalog(dict(catalog.stats)))
+    a, b = slice_specs[:2]
+    pr_a = h.run_query(a, PG).outcome.final_plan
+    assert h.run_query(a, REOPT32).outcome.planner_results[0] is pr_a
+    # An equal spec that is another object gets its own round 0.
+    twin = dataclasses.replace(a)
+    pr_twin = h.run_query(twin, PG).outcome.final_plan
+    assert pr_twin is not pr_a and pr_twin.plan.pretty() == pr_a.plan.pretty()
+    pr_b = h.run_query(b, PG).outcome.final_plan
+    assert pr_b.plan.root.aliases == b.aliases
+    assert h._first_spec is b and list(h._first) == [None]
+    assert h._first[None][0] is pr_b
+    # Back to a: planned again, not b's round.
+    again = h.run_query(a, PG).outcome.final_plan
+    assert again is not pr_a and again is not pr_b
+    assert again.plan.root.aliases == a.aliases
 
 
 def test_execute_spark_fills_wall_time(spark, harness, slice_specs, results):

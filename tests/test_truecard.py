@@ -4,6 +4,7 @@ The Yannakakis tree count is the load-bearing piece of the whole
 reproduction (perfect-(n) and re-optimization both depend on it), so
 it is cross-checked against plain DuckDB SQL on many real sub-joins.
 """
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.bench.harness import REOPT32, Harness
+from repro.bench.harness import REOPT32, Config, Harness
 from repro.core.query import Filter, JoinEdge, QuerySpec, Relation, connected_subsets
 from repro.core.reopt import cleanup, rewrite_with_temp
 from repro.core.stats import MCV_TARGET, Catalog, ColumnStats, TableStats, _pynative
@@ -121,6 +122,30 @@ def test_leaves_match_sequential_pandas_filtering(ds, specs):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (rel, c)
         orc.release(spec.name)
     assert len(seen) > 100
+
+
+def test_leaf_rows_equal_series_filter_masks(ds, specs):
+    """A leaf's row indices, from numpy filter masks, equal the rows the
+    pandas ``Series`` form of ``Filter.mask`` passes, on every (table,
+    filters) of the workload and on ``in`` filters over string columns."""
+    leaves = {(r.table, r.filters) for spec in specs for r in spec.relations}
+    for table, pdf in ds.tables.items():
+        for col in pdf.columns[pdf.dtypes == object]:
+            vals = tuple(pdf[col].drop_duplicates().head(2)) + ("no such value",)
+            leaves.add((table, (Filter(col, "in", vals),)))
+            leaves.add((table, (Filter(col, "in", vals[:1]), Filter("id", ">", 3))))
+    assert sum(f.op == "in" and ds.tables[t][f.col].dtype == object
+               for t, fs in leaves for f in fs) >= 12
+    orc = TrueCardinalityOracle(ds)
+    for table, filters in leaves:
+        pdf = ds.tables[table]
+        # The all-true mask stands for an unfiltered relation.
+        want = np.flatnonzero(np.logical_and.reduce(
+            [f.mask(pdf[f.col]).to_numpy() for f in filters] + [np.ones(len(pdf), bool)]))
+        idx, n = orc._leaf(Relation("x", table, filters))
+        got = np.arange(len(pdf)) if idx is None else idx
+        assert n == len(want) and np.array_equal(got, want), (table, filters)
+    assert len(leaves) > 100
 
 
 def test_group_counts_match_sql(ds, oracle, q6d):
@@ -302,6 +327,53 @@ def test_cards_on_rewritten_spec_reuse_original_counts(ds, own_oracle, q6d):
     one = TrueCardinalityOracle(ds)
     one.register_temp("tc0", q6d, sub, cols)
     assert got == [one.card(new_spec, new_spec.graph.subset(m)) for m in masks]
+
+
+def test_rewritten_specs_take_their_source_flattening(ds, catalog, specs):
+    """Every spec reopt-32 and reopt-2 rewrite the workload into takes its
+    source's flat graph, with the flat masks the expansion gives."""
+    h = Harness(ds, Catalog(dict(catalog.stats)))
+    orc = h.oracle
+    n_rewrites = n_two_temps = 0
+    for spec in specs:
+        runs = [h.run_query(spec, cfg, keep_temps=True)
+                for cfg in (REOPT32, Config("reopt-2", reopt_threshold=2.0))]
+        for run in runs:
+            steps = run.outcome.steps
+            for cur in [s.spec_before for s in steps[1:]] + [run.outcome.final_spec] * bool(steps):
+                g, parts = orc._rewrite_flattening(cur)
+                ge, want = orc._expand_flattening(cur)
+                assert g is ge and g.key == ge.key and parts == want, cur.name
+                n_rewrites += 1
+                n_two_temps += sum(r.table in orc._temps for r in cur.relations) >= 2
+        for run in runs:
+            cleanup(run.outcome, orc)
+        orc.release(spec.name)
+    assert n_rewrites > 200 and n_two_temps > 20
+
+
+def test_spec_not_made_by_a_rewrite_is_expanded(own_oracle, q6d):
+    sub = frozenset({"k", "mk"})
+    new_spec, cols = rewrite_with_temp(q6d, sub, "tx0", "q6d@1")
+    own_oracle.register_temp("tx0", q6d, sub, cols)
+    assert own_oracle._rewrite_flattening(new_spec) is not None
+    # Same relations, one join twice: not the rewrite of q6d.
+    twice = dataclasses.replace(new_spec, joins=new_spec.joins + new_spec.joins[:1])
+    assert own_oracle._rewrite_flattening(twice) is None
+    g, parts = own_oracle._flattening(twice)
+    assert (g, parts) == own_oracle._expand_flattening(twice)
+    assert len(g.spec.joins) == len(q6d.joins) + 1
+
+
+def test_count_memo_per_flat_graph(own_oracle, q6d):
+    masks = q6d.graph.csgs()
+    first = own_oracle.cards(q6d, masks)
+    g, _ = own_oracle._flat(q6d, 0)
+    assert len(g.counts) == len(masks)
+    assert sorted(g.counts.values()) == sorted(first)
+    # A hit in the graph's memo builds no canonical key.
+    g.canon = None
+    assert own_oracle.cards(q6d, masks) == first
 
 
 def test_release_clears_caches(own_oracle, q6d):
