@@ -22,20 +22,34 @@ fewest rows. Messages are memoized per (flat graph, T, c, p), so a
 input size, never in output size. Join keys must be ints in [0, dataset
 rows], as dense surrogate IDs (all IMDB-lite keys) are.
 
-Counts are exact Python ints. The total of msg(T, c→p) is the count of
-T and travels with the message, so a row's weight is at most the
-product of the totals coming into it, and a dot product at most the
-product of its two totals. These Python-int bounds choose the
-arithmetic: int64 where the result provably fits, float64 ``bincount``
-only when the total is below 2**53, else Python-int object arrays.
-Whether a spec is a tree on dense keys is decided once per spec; cyclic
-graphs and non-dense keys fall back to DuckDB SQL, whose connection is
-opened on first use.
+Counts are exact Python ints. A message travels with its total (the
+count of T) and its largest entry, both Python ints, and is float64
+when its total is below 2**53. The arithmetic rests on one fact: on
+non-negative integers below 2**53, which float64 holds exactly, a
+rounded sum or product is exact while the exact result is below 2**53,
+and is at least 2**53 once the exact result is (rounding is monotone
+and 2**53 is a float). So a float64 ``bincount`` or dot product whose
+result is below 2**53 is exact, in any summation order and with or
+without FMA; one that reaches 2**53 is done again in int64, or in
+Python-int object arrays where the exact total or the bound
+min(total_a * max_b, total_b * max_a) passes 2**63. A row's weight,
+the product of the entries coming into it, is at most the product of
+their maxima: float64 while that bound is below 2**53, int64 while it
+fits, else Python ints. Whether a spec is a tree on dense keys is
+decided once per spec; cyclic graphs and non-dense keys fall back to
+DuckDB SQL, whose connection is opened on first use.
 
-A leaf is never copied: a relation's filters are evaluated on the
-whole table and kept as the row indices they pass (none for an
-unfiltered relation) with their count, and a key column is gathered
-from the table through those indices once.
+Leaf state lives as long as the oracle: a relation's filters are
+evaluated on the whole table once per (table, filters) and kept as the
+row indices they pass (none for an unfiltered relation) with their
+count, a key column is gathered through those indices once, and a
+leaf's own message (T is the relation alone) is kept per (table,
+filters, column, length), so every query and graph on the same leaf
+shares it. Within a query, a message read at its receiver's rows is
+kept too, as several messages out of that receiver multiply it in.
+``release`` frees one query's messages and reads, flat graphs and
+flattenings only. All of it is filled on first use;
+constructing the oracle fills none of it.
 
 Re-optimization temp tables are **virtual** here: ``register_temp``
 only records which sub-join a temp stands for. Each spec is flattened
@@ -77,8 +91,10 @@ from .query import JoinEdge, QuerySpec, Relation, result_select, select_sql
 from .stats import MCV_TARGET, ColumnStats, TableStats, _pynative
 
 _I64_MAX = 2**63 - 1
-#: float64 holds every integer below this, so ``bincount`` sums are exact.
+#: float64 holds every integer below this exactly.
 _F64_EXACT = 2**53
+#: A message: the array, its total and its largest entry (Python ints).
+_Msg = tuple[np.ndarray, int, int]
 
 
 @dataclass(frozen=True)
@@ -152,17 +168,21 @@ class TrueCardinalityOracle:
         self._con: duckdb.DuckDBPyConnection | None = None  # see _duck
         self._memo: dict[tuple, int] = {}
         self._temps: dict[str, _TempDef] = {}
-        #: (table, filters) → (indices of the rows the filters pass, None
-        #: for no filters; their count), and the gathered columns by
-        #: (table, filters, col).
+        #: Leaf state, kept for the oracle's lifetime: (table, filters) →
+        #: (indices of the rows the filters pass, None for no filters;
+        #: their count), the gathered columns by (table, filters, col), and
+        #: a leaf's message by (table, filters, col, message length).
         self._leaf_cache: dict[tuple, tuple[np.ndarray | None, int]] = {}
         self._col_cache: dict[tuple, np.ndarray] = {}
+        self._leaf_msgs: dict[tuple, _Msg] = {}
         #: flat graphs by their memo key, so equal flattenings share messages.
         self._graphs: dict[tuple, _FlatGraph] = {}
         #: id(spec) → (spec, its flat graph, flat mask of each spec.graph bit).
         self._specs: dict[int, tuple] = {}
-        #: (flat graph, T, c, p) → (msg(T, c→p), its total).
-        self._msg_cache: dict[tuple, tuple[np.ndarray, int]] = {}
+        #: (flat graph, T, c, p) → msg(T, c→p), and that message read at
+        #: each of p's rows through p's key column on the edge.
+        self._msg_cache: dict[tuple, _Msg] = {}
+        self._looked: dict[tuple, np.ndarray] = {}
         #: (table, col) → max value of a dense key column, else None.
         self._key_max: dict[tuple[str, str], int | None] = {}
         self.n_counts = 0  # cache misses (actual counting work)
@@ -342,39 +362,52 @@ class TrueCardinalityOracle:
                 cost[fx, x, y] = ((g, fx, x, y) not in self._msg_cache) * g.rows[x] + (
                     (g, f ^ fx, y, x) not in self._msg_cache) * g.rows[y]
         fx, x, y = min(cost, key=cost.get)
-        a, ta = self._msg(g, fx, x, y)
-        b, tb = self._msg(g, f ^ fx, y, x)
-        if ta * tb <= _I64_MAX and a.dtype != object and b.dtype != object:
-            return int(a @ b)
-        return int(a.astype(object) @ b.astype(object))
+        return _dot(self._msg(g, fx, x, y), self._msg(g, f ^ fx, y, x))
 
-    def _msg(self, g: _FlatGraph, T: int, x: int, y: int) -> tuple[np.ndarray, int]:
-        """msg(T, x→y) and its total, the count of T."""
+    def _msg(self, g: _FlatGraph, T: int, x: int, y: int) -> _Msg:
+        """msg(T, x→y) with its total, the count of T, and its largest entry.
+        A leaf's message (T is x alone) is the same in every graph."""
         key = (g, T, x, y)
-        if key not in self._msg_cache:
-            w, bound = self._weights(g, T, x)
-            keys = self._col(g, x, g.col[x, y])
-            self._msg_cache[key] = _bincount(keys, w, bound, g.size[x, y])
-        return self._msg_cache[key]
+        msg = self._msg_cache.get(key)
+        if msg is None:
+            col, size = g.col[x, y], g.size[x, y]
+            if T == 1 << x:
+                rel = g.spec.relations[x]
+                leaf = (rel.table, rel.filters, col, size)
+                msg = self._leaf_msgs.get(leaf)
+                if msg is None:
+                    msg = self._leaf_msgs[leaf] = _bincount(
+                        self._col(g, x, col), None, 1, size)
+            else:
+                msg = _bincount(self._col(g, x, col), *self._weights(g, T, x), size)
+            self._msg_cache[key] = msg
+        return msg
 
     def _weights(self, g: _FlatGraph, T: int, x: int) -> tuple[np.ndarray | None, int]:
         """Per-row product of the messages into ``x`` from its neighbours
-        in ``T`` (None: all ones), and a bound on each product."""
+        in ``T`` (None: all ones), and the product of their maxima, which
+        bounds every row's product."""
         w, bound = None, 1
         nbrs = g.graph.nbr[x] & T
         while nbrs:
             low = nbrs & -nbrs
             nbrs ^= low
             z = low.bit_length() - 1
-            m, total = self._msg(g, T & g.side[z, x], z, x)
-            looked = m[self._col(g, x, g.col[x, z])]
-            bound *= total
+            key = (g, T & g.side[z, x], z, x)
+            m, _, top = self._msg(*key)
+            looked = self._looked.get(key)
+            if looked is None:
+                looked = self._looked[key] = m[self._col(g, x, g.col[x, z])]
+                looked.flags.writeable = False  # shared by every product using it
+            bound *= top
             if w is None:
                 w = looked
-            elif bound <= _I64_MAX and w.dtype != object and looked.dtype != object:
-                w = w * looked
+            elif w.dtype == object or looked.dtype == object or bound > _I64_MAX:
+                w = _ints(w).astype(object) * _ints(looked).astype(object)
+            elif bound < _F64_EXACT:
+                w = w * looked  # float64 unless both are int64
             else:
-                w = w.astype(object) * looked.astype(object)
+                w = _ints(w) * _ints(looked)
         return w, bound
 
     def _value_counts(
@@ -399,7 +432,7 @@ class TrueCardinalityOracle:
         x = g.graph.index[alias]
         w, bound = self._weights(g, f, x)
         vals, inv = np.unique(self._col(g, x, col), return_inverse=True)
-        counts = _bincount(inv, w, bound, len(vals))[0]
+        counts = _ints(_bincount(inv, w, bound, len(vals))[0])
         seen = counts > 0
         return vals[seen], counts[seen]
 
@@ -458,13 +491,14 @@ class TrueCardinalityOracle:
         self._specs.clear()
 
     def release(self, spec_name: str) -> None:
-        """Free caches tied to one query's relations (keep count memo)."""
-        # Leaf/message cache keys are content-addressed (table, filters;
-        # canonical flat graph), so they are naturally shared; dropping
-        # everything for a spec is only a memory valve.
-        self._leaf_cache.clear()
-        self._col_cache.clear()
+        """Free the state of the query just counted: its messages and their
+        reads, flat graphs and flattenings. The count memo and the leaf state, which
+        any later query on the same (table, filters) reuses, are kept."""
+        # Flat graphs and their messages are interned by content, so a
+        # later query could share them too; dropping them after each query
+        # is only a memory valve.
         self._msg_cache.clear()
+        self._looked.clear()
         self._graphs.clear()
         self._specs.clear()
 
@@ -474,8 +508,15 @@ class TrueCardinalityOracle:
             self._con = None
 
 
+def _ints(a: np.ndarray) -> np.ndarray:
+    """``a`` as int64 if it is float64 (whose entries are exact integers
+    below 2**53 here), else unchanged."""
+    return a.astype(np.int64) if a.dtype == np.float64 else a
+
+
 def _total(w: np.ndarray, bound: int) -> int:
-    """Exact sum of non-negative integer weights, each at most ``bound``."""
+    """Exact sum of non-negative integer weights (int64 or Python ints),
+    each at most ``bound``."""
     step = _I64_MAX // max(bound, 1)
     if w.dtype == object or step >= len(w):
         return int(w.sum())
@@ -484,14 +525,39 @@ def _total(w: np.ndarray, bound: int) -> int:
 
 
 def _bincount(keys: np.ndarray, w: np.ndarray | None, bound: int,
-              size: int) -> tuple[np.ndarray, int]:
+              size: int) -> _Msg:
     """Exact per-key sums (``size`` bins) of non-negative integer weights,
-    each at most ``bound`` (None: all ones), and their total."""
+    each at most ``bound`` (None: all ones), with their total and largest
+    sum; float64 when the total is below 2**53."""
     if w is None:
-        return np.bincount(keys, minlength=size), len(keys)
-    total = _total(w, bound)
-    if w.dtype != object and total < _F64_EXACT:
-        return np.bincount(keys, weights=w, minlength=size).astype(np.int64), total
-    out = np.zeros(size, dtype=object)
-    np.add.at(out, keys, w.astype(object))
-    return (out.astype(np.int64) if total <= _I64_MAX else out), total
+        out = np.bincount(keys, minlength=size).astype(np.float64)
+        return out, len(keys), int(out.max(initial=0))
+    total = None
+    if w.dtype == object or bound >= _F64_EXACT:
+        total = _total(w, bound)
+    if total is None or total < _F64_EXACT:
+        # Every weight is below 2**53, so the sums are exact unless the
+        # float total reaches 2**53 (see the module docstring).
+        out = np.bincount(keys, weights=w.astype(np.float64, copy=False), minlength=size)
+        sums = out.sum()
+        if sums < _F64_EXACT:
+            return out, int(sums), int(out.max(initial=0))
+        w = _ints(w)
+        total = _total(w, bound)
+    out = np.zeros(size, dtype=np.int64 if total <= _I64_MAX else object)
+    np.add.at(out, keys, w.astype(out.dtype))
+    return out, total, int(out.max(initial=0))
+
+
+def _dot(a_msg: _Msg, b_msg: _Msg) -> int:
+    """Exact dot product of two messages, each ``(array, total, top)``."""
+    (a, ta, ha), (b, tb, hb) = a_msg, b_msg
+    if a.dtype == b.dtype == np.float64:
+        # BLAS: exact unless it reaches 2**53 (see the module docstring).
+        d = a @ b
+        if d < _F64_EXACT:
+            return int(d)
+    a, b = _ints(a), _ints(b)
+    if min(ta * hb, tb * ha) <= _I64_MAX and a.dtype != object and b.dtype != object:
+        return int(a @ b)
+    return int(a.astype(object) @ b.astype(object))

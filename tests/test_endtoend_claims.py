@@ -13,10 +13,11 @@ claims hold on our substrate:
   shrinks the > 5 tail (Table VI).
 
 It also pins the run's outputs, unit by unit, against a golden file, so a
-speed-up that moves any plan, cost or simulated time fails here. After a
-deliberate output change, regenerate it with
-``PYTHONPATH=src python -m tests.test_endtoend_claims`` and explain the
-difference in CHANGES.md.
+speed-up that moves any plan, cost or simulated time fails here. A second
+golden file pins the same run at SF=0.1, the bench scale, where counts and
+messages are ten times larger. After a deliberate output change,
+regenerate both with ``PYTHONPATH=src python -m tests.test_endtoend_claims``
+and explain the difference in CHANGES.md.
 """
 import hashlib
 import json
@@ -25,14 +26,37 @@ from pathlib import Path
 import pytest
 
 from repro.bench import tables as T
-from repro.bench.harness import PG, PERFECT, REOPT32, total_times
+from repro.bench.harness import PG, PERFECT, REOPT32, Harness, total_times
+from repro.core.stats import analyze_pandas
+from repro.imdb import gen, workload
 
-GOLDEN = Path(__file__).parent / "golden" / "endtoend_sf0.01_seed42.json"
+from .conftest import SEED, SF
+
+#: SF=0.1 is the bench scale; it is pinned by its digests alone.
+BENCH_SF = 0.1
+GOLDEN, GOLDEN_BENCH = (
+    Path(__file__).parent / "golden" / f"endtoend_sf{sf}_seed{SEED}.json"
+    for sf in (SF, BENCH_SF)
+)
 
 
 @pytest.fixture(scope="session")
 def full_results(harness, specs):
     return harness.run_workload(specs, [PG, PERFECT, REOPT32])
+
+
+def run_full(sf: float):
+    """The 113 queries under pg, perfect-17 and reopt-32 on fresh data of
+    scale ``sf``."""
+    ds = gen.generate(sf=sf, seed=SEED)
+    return Harness(ds, analyze_pandas(ds)).run_workload(
+        workload.job_lite_workload(), [PG, PERFECT, REOPT32]
+    )
+
+
+@pytest.fixture(scope="session")
+def bench_results():
+    return run_full(BENCH_SF)
 
 
 def unit_digest(run) -> str:
@@ -59,12 +83,20 @@ def unit_digests(results) -> dict[str, str]:
     }
 
 
-def test_outputs_match_golden(full_results):
-    golden = json.loads(GOLDEN.read_text())
-    got = unit_digests(full_results)
+def assert_matches_golden(results, path: Path) -> None:
+    golden = json.loads(path.read_text())
+    got = unit_digests(results)
     assert sorted(got) == sorted(golden)
     drifted = sorted(u for u in golden if got[u] != golden[u])
-    assert not drifted, f"outputs differ from {GOLDEN.name} for {drifted}"
+    assert not drifted, f"outputs differ from {path.name} for {drifted}"
+
+
+def test_outputs_match_golden(full_results):
+    assert_matches_golden(full_results, GOLDEN)
+
+
+def test_bench_scale_outputs_match_golden(bench_results):
+    assert_matches_golden(bench_results, GOLDEN_BENCH)
 
 
 def test_perfect_beats_pg_substantially(full_results):
@@ -146,15 +178,6 @@ def test_reopt_rarely_catastrophic(full_results):
 
 
 if __name__ == "__main__":
-    from repro.bench.harness import Harness
-    from repro.core.stats import analyze_pandas
-    from repro.imdb import gen, workload
-
-    from .conftest import SEED, SF
-
-    ds = gen.generate(sf=SF, seed=SEED)
-    results = Harness(ds, analyze_pandas(ds)).run_workload(
-        workload.job_lite_workload(), [PG, PERFECT, REOPT32]
-    )
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(unit_digests(results), indent=1, sort_keys=True) + "\n")
+    for sf, path in ((SF, GOLDEN), (BENCH_SF, GOLDEN_BENCH)):
+        path.write_text(json.dumps(unit_digests(run_full(sf)), indent=1, sort_keys=True) + "\n")

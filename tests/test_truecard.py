@@ -5,6 +5,7 @@ reproduction (perfect-(n) and re-optimization both depend on it), so
 it is cross-checked against plain DuckDB SQL on many real sub-joins.
 """
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from repro.bench.harness import REOPT32, Config, Harness
 from repro.core.query import Filter, JoinEdge, QuerySpec, Relation, connected_subsets
 from repro.core.reopt import cleanup, rewrite_with_temp
 from repro.core.stats import MCV_TARGET, Catalog, ColumnStats, TableStats, _pynative
+from repro.core import truecard
 from repro.core.truecard import TrueCardinalityOracle
 from repro.imdb import workload
 from repro.imdb.gen import Dataset
@@ -376,10 +378,47 @@ def test_count_memo_per_flat_graph(own_oracle, q6d):
     assert own_oracle.cards(q6d, masks) == first
 
 
-def test_release_clears_caches(own_oracle, q6d):
-    own_oracle.card(q6d)
+def _leaf_state(orc):
+    """The oracle's leaf state, with arrays as lists for comparison."""
+    def plain(v):
+        if isinstance(v, tuple):
+            return tuple(map(plain, v))
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return [{k: plain(v) for k, v in d.items()}
+            for d in (orc._leaf_cache, orc._col_cache, orc._leaf_msgs)]
+
+
+def test_release_frees_query_state_and_keeps_leaf_state(ds, own_oracle, q6d, monkeypatch):
+    masks = q6d.graph.csgs()
+    first = own_oracle.cards(q6d, masks)
     own_oracle.release(q6d.name)
-    assert not own_oracle._leaf_cache and not own_oracle._msg_cache
+    for state in (own_oracle._msg_cache, own_oracle._looked, own_oracle._graphs, own_oracle._specs):
+        assert not state
+    fresh = TrueCardinalityOracle(ds)
+    assert fresh.cards(q6d, masks) == first
+    kept = _leaf_state(own_oracle)
+    assert all(kept) and kept == _leaf_state(fresh)
+
+    # Two specs sharing a (table, filters) leaf, under different aliases,
+    # evaluate its filters once and share one leaf message.
+    calls = []
+    mask = Filter.mask
+    monkeypatch.setattr(Filter, "mask", lambda f, col: calls.append(f) or mask(f, col))
+    kw = Relation("k", "keyword", (Filter("keyword_group", "=", 2),))
+    a = QuerySpec("a", (kw, Relation("mk", "movie_keyword")),
+                  (JoinEdge("mk", "keyword_id", "k", "id"),))
+    b = QuerySpec("b", (dataclasses.replace(kw, alias="k2"), Relation("m", "movie_keyword"),
+                        Relation("t", "title")),
+                  (JoinEdge("m", "keyword_id", "k2", "id"), JoinEdge("m", "movie_id", "t", "id")))
+    leaf_msgs = []
+    for spec, alias, nbr in ((a, "k", "mk"), (b, "k2", "m")):
+        own_oracle.cards(spec, spec.graph.csgs())
+        g, _ = own_oracle._flat(spec, 0)
+        x, y = g.graph.index[alias], g.graph.index[nbr]
+        leaf_msgs.append(own_oracle._msg_cache[g, 1 << x, x, y][0])
+        own_oracle.release(spec.name)
+    assert calls == [kw.filters[0]]
+    assert leaf_msgs[0] is leaf_msgs[1]
 
 
 def test_result_matches_duckdb_reference(ds, oracle, q6d):
@@ -426,6 +465,102 @@ def test_counts_are_exact_past_float_and_int64_range(shape, n_rel):
     got = batch.cards(spec, masks)
     assert got == [n ** m.bit_count() for m in masks]
     assert all(type(c) is int for c in got) and batch._con is None
+
+
+def _chain_oracle(cols):
+    """An oracle over a chain a0 - a1 - ... of one-table relations, where
+    ``cols[i]`` maps a column of table ``r{i}`` to its values; consecutive
+    relations join on the one column name they share."""
+    tables = {f"r{i}": pd.DataFrame({c: np.asarray(v, dtype=np.int64) for c, v in cs.items()})
+              for i, cs in enumerate(cols)}
+    rels = tuple(Relation(f"a{i}", f"r{i}") for i in range(len(cols)))
+    joins = tuple(JoinEdge(f"a{i}", c, f"a{i - 1}", c)
+                  for i in range(1, len(cols)) for c in cols[i] if c in cols[i - 1])
+    spec = QuerySpec(name="chain", relations=rels, joins=joins)
+    return TrueCardinalityOracle(Dataset(sf=0.0, seed=0, tables=tables)), spec
+
+
+def _chain_reference(cols, mask) -> int:
+    """Python-int count of the sub-chain on ``mask`` (bit i: a{i}): left
+    to right, each row weighted by the rows it joins on its left."""
+    lo, hi = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+    w = [1] * len(next(iter(cols[lo].values())))
+    for i in range(lo + 1, hi + 1):
+        on = next(c for c in cols[i] if c in cols[i - 1])
+        left: dict[int, int] = {}
+        for v, x in zip(cols[i - 1][on].tolist(), w):
+            left[v] = left.get(v, 0) + x
+        w = [left.get(v, 0) for v in cols[i][on].tolist()]
+    return sum(w)
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1])
+@pytest.mark.parametrize("split", [False, True])
+def test_bincount_exact_at_float_limit(d, split):
+    """A total of 2**53 + d, in one bin or split over two."""
+    w = np.array([2.0**52, 2**52 + d])
+    out, total, top = truecard._bincount(np.array([1, 2 if split else 1]), w, 2**52 + 1, 4)
+    want = [0, 2**52, 2**52 + d, 0] if split else [0, 2**53 + d, 0, 0]
+    assert truecard._ints(out).tolist() == want
+    assert (total, top) == (2**53 + d, max(want))
+    assert (out.dtype == np.float64) == (total < 2**53)
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_dot_exact_at_float_limit(d):
+    a = (np.array([2.0, 1.0]), 3, 2)
+    b = (np.array([2.0**52 - 1, 2 + d]), 2**52 + 1 + d, 2**52 - 1)
+    got = truecard._dot(a, b)
+    assert type(got) is int and got == 2**53 + d
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_counts_exact_at_float_limit(d):
+    """A 5-chain on one key whose count, and a message's total, is 2**53 + d:
+    each value v has ``rows[v][i]`` rows in relation i."""
+    p = 2**13
+    rows = {1: [(p, p, p, 2 * p, 1), (1, 1, 1, 1, 1)],
+            0: [(p, p, p, 2 * p, 1)],
+            -1: [(p, p, p, 2 * p - 1, 1), (p - 1, p, p, 1, 1),
+                 (p - 1, p, 1, 1, 1), (p - 1, 1, 1, 1, 1)]}[d]
+    cols = [{"k": np.repeat(np.arange(len(rows)), [r[i] for r in rows])} for i in range(5)]
+    orc, spec = _chain_oracle(cols)
+    masks = spec.graph.csgs()
+    assert orc.cards(spec, masks) == [_chain_reference(cols, m) for m in masks]
+    assert orc.card(spec) == 2**53 + d
+    for a in spec.graph.aliases:
+        gc = orc.group_counts(spec, spec.aliases, a, "k")
+        assert gc.to_dict() == {v: math.prod(r) for v, r in enumerate(rows)}
+    assert orc._con is None
+
+
+def test_totals_past_int64_with_small_maxima_stay_off_object_arrays(monkeypatch):
+    """b0 -k- b1 -k- b2 -j- c -j- d2 -k- d1 -k- d0 with n rows each, every k
+    zero and each j once per relation: the messages across c's edges total
+    n**3 but peak at n**2, so totals multiply to n**6 > 2**63 while maxima
+    multiply to at most n**5 < 2**53."""
+    n = 1500
+    zero, ids = np.zeros(n, dtype=np.int64), np.arange(n)
+    cols = [{"k": zero}, {"k": zero}, {"k": zero, "j": ids}, {"j": ids},
+            {"j": ids, "k": zero}, {"k": zero}, {"k": zero}]
+    assert n**6 > 2**63 and n**5 < 2**53
+    seen = []
+    for name in ("_bincount", "_dot"):
+        fn = getattr(truecard, name)
+
+        def spy(*args, fn=fn):
+            seen.extend(a.dtype for a in (x[0] if isinstance(x, tuple) else x for x in args)
+                        if isinstance(a, np.ndarray))
+            return fn(*args)
+        monkeypatch.setattr(truecard, name, spy)
+    orc, spec = _chain_oracle(cols)
+    masks = spec.graph.csgs()
+    assert orc.cards(spec, masks) == [_chain_reference(cols, m) for m in masks]
+    assert orc.card(spec) == n**5
+    gc = orc.group_counts(spec, spec.aliases, "a3", "j")
+    assert gc.tolist() == [n**4] * n
+    assert seen and object not in seen
+    assert all(m[0].dtype == np.float64 for m in orc._msg_cache.values())
 
 
 # -- canonical count memo ----------------------------------------------
