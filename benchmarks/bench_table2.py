@@ -3,7 +3,8 @@
 The full 2×113-query experiment lives in the shared ``full_results``
 session fixture; this test times one representative (query, config)
 unit — planning + simulated execution of the longest query under
-perfect-(17) — and prints the whole table, paper vs ours.
+perfect-(17) — and prints the whole table, paper vs ours. Its shape
+assertions run in tier-1, in tests/test_endtoend_claims.py.
 """
 import dataclasses
 
@@ -36,6 +37,3 @@ def test_table2_pg_vs_perfect(
                 "rel. runtime",
             )
         )
-    assert sum(ours.values()) == 113
-    assert ours["> 5.0"] >= 5  # the catastrophic tail exists (paper: 14)
-    assert ours["2.0 - 5.0"] + ours["> 5.0"] >= 20  # paper: 46

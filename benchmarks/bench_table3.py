@@ -1,7 +1,8 @@
 """Benchmark + reproduction of paper Table III.
 
-Times the generation of the full 113-query JOB-lite workload and checks
-the relation-count distribution is exactly the paper's.
+Times the generation of the full 113-query JOB-lite workload and prints
+its relation-count distribution; tier-1 checks that it is exactly the
+paper's, in tests/test_endtoend_claims.py.
 """
 from repro.bench import tables as T
 from repro.imdb import workload
@@ -20,4 +21,3 @@ def test_table3_workload_distribution(benchmark, capsys):
                 "# tables",
             )
         )
-    assert ours == T.PAPER_TABLE3

@@ -2,7 +2,8 @@
 
 Times one full re-optimization loop (the longest PG query, τ=32:
 plan → trigger → virtual temp → replan, repeated to quiescence) and
-prints the whole-workload table, paper vs ours.
+prints the whole-workload table, paper vs ours. Its shape assertions
+run in tier-1, in tests/test_endtoend_claims.py.
 """
 import dataclasses
 
@@ -43,10 +44,3 @@ def test_table6_reopt_vs_perfect(
             f"(paper: 45%); fraction of perfect's benefit: "
             f"{(tot_pg - tot_ro) / (tot_pg - tot_pf):.2f} (paper: >0.5)"
         )
-    t2 = T.table2(pg, pf)
-    # re-optimization moves mass toward 0.8-1.2 and shrinks the tail
-    assert ours["0.8 - 1.2"] > t2["0.8 - 1.2"]
-    assert (
-        ours["2.0 - 5.0"] + ours["> 5.0"]
-        < t2["2.0 - 5.0"] + t2["> 5.0"]
-    )

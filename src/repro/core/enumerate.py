@@ -80,30 +80,31 @@ def _pairs(g: JoinGraph, csgs: np.ndarray, pos):
         return u, np.minimum(half, rest), np.maximum(half, rest)
     pairs = [(s1 | s2, s1, s2) for s1 in csgs.tolist() for s2 in g.cmps(s1)]
     union, s1, s2 = np.array(pairs, dtype=np.int64).T
-    u = pos(union)
+    u = pos[union]
     by_union = np.argsort(u, kind="stable")
     s1, s2 = s1[by_union], s2[by_union]
     return u[by_union], np.minimum(s1, s2), np.maximum(s1, s2)
 
 
 def plan_query(spec: QuerySpec, estimator, cost: CostModel) -> PlannerResult:
-    """Plan ``spec`` with ``estimator``'s cardinalities and ``cost``."""
+    """Plan ``spec`` with ``estimator``'s cardinalities and ``cost``.
+
+    A csg's position in level order is read from a table indexed by
+    mask, which holds 2**n int32 entries for n relations (512 KB at
+    JOB's 17); only the csgs' entries are written or read.
+    """
     t0 = time.perf_counter()
     g = spec.graph
     n = len(g.aliases)
-    # The csgs in level order (by size, then mask); `pos` maps masks to
-    # level-order positions through the mask-sorted `ms`.
+    # The csgs in level order (by size, then mask).
     ms = np.sort(np.array(g.csgs(), dtype=np.int64))
     sizes = _POP8[ms & 255]
     for shift in range(8, n, 8):
         sizes += _POP8[ms >> shift & 255]
     order = np.argsort(sizes, kind="stable")
     csgs = ms[order]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-
-    def pos(masks: np.ndarray) -> np.ndarray:
-        return rank[np.searchsorted(ms, masks)]
+    pos = np.empty(1 << n, dtype=np.int32)
+    pos[csgs] = np.arange(len(csgs), dtype=np.int32)
 
     # Level s holds positions ends[s - 1]..ends[s] - 1.
     ends = np.cumsum(np.bincount(sizes)).tolist()
@@ -116,7 +117,7 @@ def plan_query(spec: QuerySpec, estimator, cost: CostModel) -> PlannerResult:
 
     u, lo, hi = _pairs(g, csgs, pos)
     # Row 0: the lower half's position; row 1: the higher half's.
-    halves = pos(np.array((lo, hi)))
+    halves = pos[np.array((lo, hi))]
     # Join costs do not depend on the DP: price every pair at once.
     jc = cost.join_cost(*est[halves], est[u])
     # The pairs of the csg at position p are first[p]..first[p + 1] - 1.

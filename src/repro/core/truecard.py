@@ -42,10 +42,11 @@ DuckDB SQL, whose connection is opened on first use.
 Leaf state lives as long as the oracle: a relation's filters are
 evaluated on the whole table once per (table, filters) and kept as the
 row indices they pass (none for an unfiltered relation) with their
-count, a key column is gathered through those indices once, and a
-leaf's own message (T is the relation alone) is kept per (table,
-filters, column, length), so every query and graph on the same leaf
-shares it. Within a query, a message read at its receiver's rows is
+count, a column is gathered through those indices once and sorted once
+(its distinct values and each row's position among them, for temp
+statistics), and a leaf's own message (T is the relation alone) is kept
+per (table, filters, column, length), so every query and graph on the
+same leaf shares it. Within a query, a message read at its receiver's rows is
 kept too, as several messages out of that receiver multiply it in.
 ``release`` frees one query's messages and reads, flat graphs and
 flattenings only. All of it is filled on first use;
@@ -73,7 +74,12 @@ interned to one graph: an original is flattened again after
 Counts are memoized twice: per flat graph by flat mask, and across
 graphs per canonical sub-join (relations sorted by alias; join edges
 with sorted endpoints, sorted), whose key is built only when the
-graph's own memo misses. One harness run shares a single oracle across
+graph's own memo misses. A ``cards`` batch maps all its masks to flat
+masks in one vector operation. Memo and leaf keys are interned ints:
+each flat graph maps its relations' (alias, table, filters), its
+leaves' (table, filters) and its edge keys to small ints once, through
+one dict kept for the oracle's lifetime, so a lookup hashes ints, never
+nested filters. One harness run shares a single oracle across
 PG / perfect-(n) / re-optimization configs, so each distinct sub-join
 is counted once.
 """
@@ -112,28 +118,33 @@ class _FlatGraph:
 
     ``spec.graph`` numbers the relations by sorted alias, and the join
     edges are sorted by their canonical key, so a flat mask's count memo
-    key is read off in order. On a tree joined on dense keys, ``rows``
-    holds each relation's filtered row count, and ``side``, ``col`` and
-    ``size`` hold, per directed edge (x, y), x's side of the tree, x's
-    key column and the length of a message along the edge.
+    key is read off in order. ``intern`` maps each relation's (alias,
+    table, filters), each leaf's (table, filters) and each edge's key to a
+    small int once per graph: memo keys are tuples of those ints, and
+    ``leaf`` keys the oracle's leaf state. On a tree joined on dense keys,
+    ``rows`` holds each relation's filtered row count, and ``side``,
+    ``col`` and ``size`` hold, per directed edge (x, y), x's side of the
+    tree, x's key column and the length of a message along the edge.
     """
 
-    def __init__(self, relations, joins, dense_max, n_rows):
-        edges = sorted(((tuple(sorted((a, j.side(a)[0]) for a in j.aliases)), j)
+    def __init__(self, relations, joins, intern, dense_max, n_rows):
+        edges = sorted(((tuple(sorted(((j.left_alias, j.left_col),
+                                       (j.right_alias, j.right_col)))), j)
                         for j in joins), key=lambda e: e[0])
         self.spec = QuerySpec("flat", tuple(sorted(relations, key=lambda r: r.alias)),
                               tuple(j for _, j in edges))
         self.graph = g = self.spec.graph
-        self.rel_key = tuple((r.alias, r.table, r.filters) for r in self.spec.relations)
-        self.edge_key = tuple(k for k, _ in edges)
-        self.ends = tuple((g.index[a], g.index[b]) for (a, _), (b, _) in self.edge_key)
+        self.rel_id = tuple(intern((r.alias, r.table, r.filters)) for r in self.spec.relations)
+        self.leaf = tuple(intern((r.table, r.filters)) for r in self.spec.relations)
+        self.edge_id = tuple(intern(k) for k, _ in edges)
+        self.ends = tuple((g.index[a], g.index[b]) for ((a, _), (b, _)), _ in edges)
         self.edge_mask = tuple(1 << x | 1 << y for x, y in self.ends)
         full = (1 << len(g.aliases)) - 1
         self.key = self.canon(full)
         cuts = dict(g.tree_cuts() or ())
         self.tree = len(cuts) == len(joins) == len(g.aliases) - 1
         self.side, self.col, self.size = {}, {}, {}
-        for (x, y), ((_, cx), (_, cy)), m in zip(self.ends, self.edge_key, self.edge_mask):
+        for (x, y), (((_, cx), (_, cy)), _), m in zip(self.ends, edges, self.edge_mask):
             hi = [dense_max(self.spec.relations[v].table, c) for v, c in ((x, cx), (y, cy))]
             self.tree = self.tree and None not in hi
             if self.tree:
@@ -149,8 +160,8 @@ class _FlatGraph:
 
     def canon(self, f: int) -> tuple:
         """Count memo key of the sub-join on flat mask ``f``."""
-        return (tuple(k for i, k in enumerate(self.rel_key) if f >> i & 1),
-                tuple(k for k, m in zip(self.edge_key, self.edge_mask) if f & m == m))
+        return (tuple(k for i, k in enumerate(self.rel_id) if f >> i & 1),
+                tuple(k for k, m in zip(self.edge_id, self.edge_mask) if f & m == m))
 
     def is_tree(self, key: tuple) -> bool:
         """Whether the tree path counts the connected sub-join keyed ``key``."""
@@ -166,14 +177,19 @@ class TrueCardinalityOracle:
         #: the tree path's join keys are ints in [0, _key_bound].
         self._key_bound = sum(len(pdf) for pdf in ds.tables.values())
         self._con: duckdb.DuckDBPyConnection | None = None  # see _duck
+        #: (alias, table, filters), (table, filters) and edge keys → small
+        #: ints, for the oracle's lifetime; memo and leaf keys are built of them.
+        self._ids: dict[tuple, int] = {}
         self._memo: dict[tuple, int] = {}
         self._temps: dict[str, _TempDef] = {}
-        #: Leaf state, kept for the oracle's lifetime: (table, filters) →
-        #: (indices of the rows the filters pass, None for no filters;
-        #: their count), the gathered columns by (table, filters, col), and
-        #: a leaf's message by (table, filters, col, message length).
-        self._leaf_cache: dict[tuple, tuple[np.ndarray | None, int]] = {}
+        #: Leaf state, kept for the oracle's lifetime, keyed by the leaf's
+        #: (table, filters) id: (indices of the rows the filters pass, None
+        #: for no filters; their count), the gathered columns and their
+        #: sorts (distinct values, each row's position among them) by (leaf,
+        #: col), and a leaf's message by (leaf, col, message length).
+        self._leaf_cache: dict[int, tuple[np.ndarray | None, int]] = {}
         self._col_cache: dict[tuple, np.ndarray] = {}
+        self._col_sorts: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._leaf_msgs: dict[tuple, _Msg] = {}
         #: flat graphs by their memo key, so equal flattenings share messages.
         self._graphs: dict[tuple, _FlatGraph] = {}
@@ -195,28 +211,38 @@ class TrueCardinalityOracle:
                 self._con.register(name, pdf)
         return self._con
 
+    def _id(self, key: tuple) -> int:
+        """The small int standing for ``key`` in this oracle."""
+        return self._ids.setdefault(key, len(self._ids))
+
     # -- expansion of virtual temps ------------------------------------
-    def _expand(self, spec: QuerySpec, subset: frozenset[str] | None):
+    def _expand(self, spec: QuerySpec, subset: frozenset[str] | None = None):
         """Relations and joins of ``subset`` (default: all), temps
-        resolved to base tables."""
-        subset = spec.aliases if subset is None else subset
+        resolved to base tables, and the alias of ``spec`` that each
+        relation stands in for."""
         relations: list[Relation] = []
         joins: list[JoinEdge] = []
-        for a in subset:
-            rel = spec.relation(a)
-            if rel.table in self._temps:
-                td = self._temps[rel.table]
-                inner_rels, inner_joins = self._expand(td.spec, td.subset)
-                relations.extend(inner_rels)
-                joins.extend(inner_joins)
-            else:
-                relations.append(rel)
-        joins += [
-            JoinEdge(*self._base_col(spec, j.left_alias, j.left_col),
-                     *self._base_col(spec, j.right_alias, j.right_col))
-            for j in spec.joins if j.aliases <= subset
-        ]
-        return tuple(relations), tuple(joins)
+        owners: list[str] = []
+        temps = set()
+        for rel in spec.relations:
+            if subset is None or rel.alias in subset:
+                td = self._temps.get(rel.table)
+                if td is None:
+                    relations.append(rel)
+                    owners.append(rel.alias)
+                    continue
+                temps.add(rel.alias)
+                inner_rels, inner_joins, _ = self._expand(td.spec, td.subset)
+                relations += inner_rels
+                joins += inner_joins
+                owners += [rel.alias] * len(inner_rels)
+        for j in spec.joins:
+            if subset is None or j.left_alias in subset and j.right_alias in subset:
+                if j.left_alias in temps or j.right_alias in temps:
+                    j = JoinEdge(*self._base_col(spec, j.left_alias, j.left_col),
+                                 *self._base_col(spec, j.right_alias, j.right_col))
+                joins.append(j)
+        return relations, joins, owners
 
     def _base_col(self, spec: QuerySpec, alias: str, col: str) -> tuple[str, str]:
         """``alias.col`` of ``spec`` traced through (nested) temps to a base
@@ -244,11 +270,14 @@ class TrueCardinalityOracle:
 
     def _expand_flattening(self, spec: QuerySpec) -> tuple[_FlatGraph, list[int]]:
         """Build ``spec``'s flat graph from its temps' expansion."""
-        g = _FlatGraph(*self._expand(spec, None), self._dense_max,
+        relations, joins, owners = self._expand(spec)
+        g = _FlatGraph(relations, joins, self._id, self._dense_max,
                        lambda rel: self._leaf(rel)[1])
         g = self._graphs.setdefault(g.key, g)
-        return g, [g.graph.mask(r.alias for r in self._expand(spec, frozenset([a]))[0])
-                   for a in spec.graph.aliases]
+        part = dict.fromkeys(spec.graph.aliases, 0)
+        for r, a in zip(relations, owners):
+            part[a] |= 1 << g.graph.index[r.alias]
+        return g, list(part.values())
 
     def _rewrite_flattening(
         self, spec: QuerySpec
@@ -283,8 +312,14 @@ class TrueCardinalityOracle:
     def cards(self, spec: QuerySpec, masks) -> list[int]:
         """True row counts of connected subsets of ``spec`` given as
         ``spec.graph`` masks."""
-        return [self._count(*self._flat(spec, m))
-                for m in np.asarray(masks, dtype=np.int64).tolist()]
+        g, parts = self._flattening(spec)
+        masks = np.asarray(masks, dtype=np.int64)
+        if parts != [1 << i for i in range(len(parts))]:
+            # Each flat mask is the sum of the parts of its mask's bits.
+            bits = masks[:, None] >> np.arange(len(parts)) & 1
+            masks = bits @ np.array(parts, dtype=np.int64)
+        counts = g.counts
+        return [counts[f] if f in counts else self._count(g, f) for f in masks.tolist()]
 
     def card(self, spec: QuerySpec, subset: frozenset[str] | None = None) -> int:
         """True row count of ``spec`` restricted to ``subset`` aliases."""
@@ -323,13 +358,13 @@ class TrueCardinalityOracle:
         outs = result_select(
             spec.min_cols, lambda a, c: self._base_col(spec, a, c)
         )
-        sql = select_sql(outs, *self._expand(spec, None))
+        sql = select_sql(outs, *self._expand(spec)[:2])
         return self._duck().execute(sql).fetchdf()
 
     # -- Yannakakis counting over tree-shaped flat graphs ----------------
     def _leaf(self, rel: Relation) -> tuple[np.ndarray | None, int]:
         """Indices of ``rel``'s filtered rows (None: all rows) and their count."""
-        key = (rel.table, rel.filters)
+        key = self._id((rel.table, rel.filters))
         if key not in self._leaf_cache:
             pdf = self._tables[rel.table]
             if rel.filters:
@@ -342,26 +377,42 @@ class TrueCardinalityOracle:
 
     def _col(self, g: _FlatGraph, x: int, col: str) -> np.ndarray:
         """Column ``col`` of relation ``x``'s filtered rows."""
-        rel = g.spec.relations[x]
-        key = (rel.table, rel.filters, col)
+        key = g.leaf[x], col
         if key not in self._col_cache:
+            rel = g.spec.relations[x]
             idx, _ = self._leaf(rel)
             v = self._tables[rel.table][col].to_numpy()
             self._col_cache[key] = v if idx is None else v[idx]
         return self._col_cache[key]
 
+    def _col_sort(self, g: _FlatGraph, x: int, col: str) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct values of ``_col(g, x, col)``, sorted, and each row's
+        position among them (read-only)."""
+        key = g.leaf[x], col
+        if key not in self._col_sorts:
+            vals, inv = np.unique(self._col(g, x, col), return_inverse=True)
+            vals.flags.writeable = inv.flags.writeable = False
+            self._col_sorts[key] = vals, inv
+        return self._col_sorts[key]
+
     def _tree_count(self, g: _FlatGraph, f: int) -> int:
         """Count of the connected sub-join on ``f``: a dot product across
-        the edge whose messages not yet cached read the fewest rows."""
+        the first edge whose messages not yet cached read the fewest
+        rows. Pricing stops at an edge whose messages are both cached."""
         if f & (f - 1) == 0:
             return g.rows[f.bit_length() - 1]
-        cost = {}
+        cache, rows, side = self._msg_cache, g.rows, g.side
+        best = None
         for (x, y), m in zip(g.ends, g.edge_mask):
             if f & m == m:
-                fx = f & g.side[x, y]
-                cost[fx, x, y] = ((g, fx, x, y) not in self._msg_cache) * g.rows[x] + (
-                    (g, f ^ fx, y, x) not in self._msg_cache) * g.rows[y]
-        fx, x, y = min(cost, key=cost.get)
+                fx = f & side[x, y]
+                c = ((g, fx, x, y) not in cache) * rows[x] + (
+                    (g, f ^ fx, y, x) not in cache) * rows[y]
+                if best is None or c < best[0]:
+                    best = c, fx, x, y
+                    if not c:  # both messages cached: no edge is cheaper
+                        break
+        _, fx, x, y = best
         return _dot(self._msg(g, fx, x, y), self._msg(g, f ^ fx, y, x))
 
     def _msg(self, g: _FlatGraph, T: int, x: int, y: int) -> _Msg:
@@ -372,8 +423,7 @@ class TrueCardinalityOracle:
         if msg is None:
             col, size = g.col[x, y], g.size[x, y]
             if T == 1 << x:
-                rel = g.spec.relations[x]
-                leaf = (rel.table, rel.filters, col, size)
+                leaf = g.leaf[x], col, size
                 msg = self._leaf_msgs.get(leaf)
                 if msg is None:
                     msg = self._leaf_msgs[leaf] = _bincount(
@@ -431,7 +481,7 @@ class TrueCardinalityOracle:
             return pdf["v"].to_numpy(), pdf["c"].to_numpy()
         x = g.graph.index[alias]
         w, bound = self._weights(g, f, x)
-        vals, inv = np.unique(self._col(g, x, col), return_inverse=True)
+        vals, inv = self._col_sort(g, x, col)
         counts = _ints(_bincount(inv, w, bound, len(vals))[0])
         seen = counts > 0
         return vals[seen], counts[seen]

@@ -45,18 +45,25 @@ def full_results(harness, specs):
     return harness.run_workload(specs, [PG, PERFECT, REOPT32])
 
 
-def run_full(sf: float):
-    """The 113 queries under pg, perfect-17 and reopt-32 on fresh data of
-    scale ``sf``."""
+def fresh_harness(sf: float) -> Harness:
+    """A harness over fresh data of scale ``sf``."""
     ds = gen.generate(sf=sf, seed=SEED)
-    return Harness(ds, analyze_pandas(ds)).run_workload(
-        workload.job_lite_workload(), [PG, PERFECT, REOPT32]
-    )
+    return Harness(ds, analyze_pandas(ds))
+
+
+def run_full(h: Harness):
+    """The 113 queries under pg, perfect-17 and reopt-32."""
+    return h.run_workload(workload.job_lite_workload(), [PG, PERFECT, REOPT32])
 
 
 @pytest.fixture(scope="session")
-def bench_results():
-    return run_full(BENCH_SF)
+def bench_harness():
+    return fresh_harness(BENCH_SF)
+
+
+@pytest.fixture(scope="session")
+def bench_results(bench_harness):
+    return run_full(bench_harness)
 
 
 def unit_digest(run) -> str:
@@ -97,6 +104,46 @@ def test_outputs_match_golden(full_results):
 
 def test_bench_scale_outputs_match_golden(bench_results):
     assert_matches_golden(bench_results, GOLDEN_BENCH)
+
+
+# -- the paper's tables at the bench scale ------------------------------
+# The shape assertions of benchmarks/bench_table{1,2,3,6}.py, word for word.
+
+def test_bench_table1_estimate_counts(bench_harness, specs):
+    ours = T.table1(specs, bench_harness.estimator(None), bench_harness.cost)
+    # shape assertions: exact at size 1, humped in the middle, tapered top
+    assert ours[1] == T.PAPER_TABLE1[1] == 977
+    peak = max(ours, key=ours.get)
+    assert 6 <= peak <= 10  # paper peaks at 8
+    assert ours[17] == 3
+    assert ours[16] < ours[12] < ours[8]
+
+
+def test_bench_table2_pg_vs_perfect(bench_results):
+    pg, pf = bench_results["pg"], bench_results["perfect-17"]
+    ours = T.table2(pg, pf)
+    assert sum(ours.values()) == 113
+    assert ours["> 5.0"] >= 5  # the catastrophic tail exists (paper: 14)
+    assert ours["2.0 - 5.0"] + ours["> 5.0"] >= 20  # paper: 46
+
+
+def test_bench_table3_workload_distribution(specs):
+    ours = T.table3(specs)
+    assert ours == T.PAPER_TABLE3
+
+
+def test_bench_table6_reopt_vs_perfect(bench_results):
+    pg = bench_results["pg"]
+    pf = bench_results["perfect-17"]
+    ro = bench_results["reopt-32"]
+    ours = T.table6(ro, pf)
+    t2 = T.table2(pg, pf)
+    # re-optimization moves mass toward 0.8-1.2 and shrinks the tail
+    assert ours["0.8 - 1.2"] > t2["0.8 - 1.2"]
+    assert (
+        ours["2.0 - 5.0"] + ours["> 5.0"]
+        < t2["2.0 - 5.0"] + t2["> 5.0"]
+    )
 
 
 def test_perfect_beats_pg_substantially(full_results):
@@ -180,4 +227,5 @@ def test_reopt_rarely_catastrophic(full_results):
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     for sf, path in ((SF, GOLDEN), (BENCH_SF, GOLDEN_BENCH)):
-        path.write_text(json.dumps(unit_digests(run_full(sf)), indent=1, sort_keys=True) + "\n")
+        path.write_text(json.dumps(unit_digests(run_full(fresh_harness(sf))), indent=1,
+                                   sort_keys=True) + "\n")

@@ -1,5 +1,7 @@
 """Unit tests for the logical query model (repro.core.query)."""
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.query import (
     Filter,
@@ -64,6 +66,29 @@ def test_filter_sql_in():
 
 def test_filter_sql_range():
     assert Filter("c", "<=", 3).sql("t") == "t.c <= 3"
+
+
+#: Per column kind: the numpy dtype and the pool its cells and ``in``
+#: values come from. Values are drawn from a wider pool than the cells,
+#: so some are absent from the column; both may repeat.
+_IN_KINDS = {
+    "int": (np.int64, [-2, 0, 1, 3, 7], [-5, 2, 9]),
+    "float": (np.float64, [-1.5, 0.0, 0.5, 2.0, 1e9], [3.25, -7.0, 1.0]),
+    "object": (object, ["a", "b", "x'y", "", None], ["zz", "A"]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_IN_KINDS)), st.data())
+def test_in_mask_on_numpy_equals_isin(kind, data):
+    dtype, cells, absent = _IN_KINDS[kind]
+    col = np.array(data.draw(st.lists(st.sampled_from(cells), max_size=40)), dtype=dtype)
+    values = data.draw(st.lists(
+        st.sampled_from([v for v in cells + absent if v is not None]), max_size=6))
+    got = Filter("c", "in", tuple(values)).mask(col)
+    want = np.isin(col, np.array(values, dtype=dtype))
+    assert got.dtype == bool and got.shape == col.shape
+    assert np.array_equal(got, want), (col, values)
 
 
 # -- JoinEdge ----------------------------------------------------------

@@ -421,6 +421,53 @@ def test_release_frees_query_state_and_keeps_leaf_state(ds, own_oracle, q6d, mon
     assert leaf_msgs[0] is leaf_msgs[1]
 
 
+def test_temp_stats_sort_each_leaf_column_once(ds, own_oracle, q6d, monkeypatch):
+    """Two queries whose temps read the same (table, filters, col) sort
+    that column once, and the sort outlives ``release``."""
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(a) or unique(*a, **kw))
+    sub = frozenset({"k", "mk", "t"})
+    other = dataclasses.replace(q6d, name="q6d_again")
+    got = []
+    for i, spec in enumerate((q6d, other)):
+        _, cols = rewrite_with_temp(spec, sub, f"tu{i}", f"{spec.name}@1")
+        own_oracle.register_temp(f"tu{i}", spec, sub, cols)
+        got.append(repr(own_oracle.temp_stats(f"tu{i}")))
+        own_oracle.release(spec.name)
+        if i == 0:
+            n_sorts = len(calls)
+    leaf_cols = {(q6d.relation(a).table, q6d.relation(a).filters, c) for a, c in cols}
+    assert n_sorts == len(leaf_cols) == len(calls) > 1
+    assert all(not a.flags.writeable for v in own_oracle._col_sorts.values() for a in v)
+
+    fresh = TrueCardinalityOracle(ds)
+    for i, spec in enumerate((q6d, other)):
+        _, cols = rewrite_with_temp(spec, sub, f"tu{i}", f"{spec.name}@1")
+        fresh.register_temp(f"tu{i}", spec, sub, cols)
+    assert got == [repr(fresh.temp_stats(f"tu{i}")) for i in range(2)]
+
+
+def test_batch_flat_masks_equal_per_mask_flattening(ds, own_oracle, q6d):
+    """``cards`` maps a batch to flat masks in one vector operation; on a
+    rewrite that names a nested temp its counts equal the per-mask
+    ``_count(*_flat(spec, m))`` of a fresh oracle."""
+    sub1 = frozenset({"k", "mk"})
+    spec1, cols1 = rewrite_with_temp(q6d, sub1, "nb0", "q6d@1")
+    sub2 = frozenset({"nb0", "t"})
+    spec2, cols2 = rewrite_with_temp(spec1, sub2, "nb1", "q6d@2")
+    fresh = TrueCardinalityOracle(ds)
+    for orc in (own_oracle, fresh):
+        orc.register_temp("nb0", q6d, sub1, cols1)
+        orc.register_temp("nb1", spec1, sub2, cols2)
+    _, parts = own_oracle._flattening(spec2)
+    assert parts != [1 << i for i in range(len(parts))]
+    masks = spec2.graph.csgs()
+    got = own_oracle.cards(spec2, masks)
+    assert got == [fresh._count(*fresh._flat(spec2, m)) for m in masks]
+    assert len(set(got)) > len(got) // 2
+
+
 def test_result_matches_duckdb_reference(ds, oracle, q6d):
     con = duckdb.connect()
     for name, pdf in ds.tables.items():
