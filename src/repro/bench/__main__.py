@@ -21,6 +21,22 @@ from . import tables as T
 from .harness import PERFECT, PG, REOPT32, Config, Harness, total_times
 
 
+#: Fig. 7's re-optimization thresholds τ, and the configs its sweep runs.
+THRESHOLDS = (2, 4, 8, 16, 32, 64, 128)
+THRESHOLD_CONFIGS = [PG, PERFECT] + [
+    Config(f"reopt-{t}", reopt_threshold=float(t)) for t in THRESHOLDS
+]
+#: Figs. 2/8's n of perfect-(n), and the configs their sweep runs: each
+#: perfect-(n) with and without re-optimization at τ=32.
+PERFECT_NS = (0, 1, 2, 3, 4, 5, 6, 8, 10, 13, 17)
+PERFECT_CONFIGS = [
+    c for n in PERFECT_NS for c in (
+        Config(f"perfect-{n}", perfect_n=n),
+        Config(f"perfect-{n}+reopt", perfect_n=n, reopt_threshold=32.0),
+    )
+]
+
+
 def table1(h: Harness, specs) -> None:
     """Table I: plan every query with PG estimates and count one estimate
     per connected subset, by subset size (a hump around 8-way joins)."""
@@ -69,22 +85,18 @@ def table6(h: Harness, specs) -> None:
 def threshold_sweep(h: Harness, specs) -> None:
     """Fig. 7: execution + planning time vs re-optimization threshold τ,
     against PG and perfect-(17) (τ=2 near the best, high τ → PG)."""
-    thresholds = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
-    configs = [PG, PERFECT] + [
-        Config(f"reopt-{int(t)}", reopt_threshold=t) for t in thresholds
-    ]
-    res = h.run_workload(specs, configs)
+    res = h.run_workload(specs, THRESHOLD_CONFIGS)
     tot_pg = total_times(res["pg"])[0]
     print(f"{'config':>12} | {'exec (sim units)':>16} | {'planning s':>10} | vs PG")
     print("-" * 60)
-    for c in configs:
+    for c in THRESHOLD_CONFIGS:
         ex, pl = total_times(res[c.name])
         print(
             f"{c.name:>12} | {ex:>16.4g} | {pl:>10.2f} | "
             f"{100 * (1 - ex / tot_pg):+.1f}%"
         )
     best = min(
-        (c.name for c in configs if c.name.startswith("reopt")),
+        (c.name for c in THRESHOLD_CONFIGS if c.name.startswith("reopt")),
         key=lambda n: total_times(res[n])[0],
     )
     print(f"\nbest threshold: {best} (paper: τ=32 best, τ=2 within ~10%)")
@@ -93,17 +105,10 @@ def threshold_sweep(h: Harness, specs) -> None:
 def perfect_sweep(h: Harness, specs) -> None:
     """Figs. 2 and 8: execution time under perfect-(n), with and without
     re-optimization (τ=32); a marked drop only from perfect-(4)."""
-    ns = [0, 1, 2, 3, 4, 5, 6, 8, 10, 13, 17]
-    configs = []
-    for n in ns:
-        configs.append(Config(f"perfect-{n}", perfect_n=n))
-        configs.append(
-            Config(f"perfect-{n}+reopt", perfect_n=n, reopt_threshold=32.0)
-        )
-    res = h.run_workload(specs, configs)
+    res = h.run_workload(specs, PERFECT_CONFIGS)
     print(f"{'n':>4} | {'perfect-(n)':>14} | {'+reopt(32)':>14} | reopt gain")
     print("-" * 56)
-    for n in ns:
+    for n in PERFECT_NS:
         a = total_times(res[f"perfect-{n}"])[0]
         b = total_times(res[f"perfect-{n}+reopt"])[0]
         print(f"{n:>4} | {a:>14.4g} | {b:>14.4g} | {100 * (1 - b / a):+.1f}%")

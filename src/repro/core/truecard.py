@@ -48,8 +48,8 @@ statistics), and a leaf's own message (T is the relation alone) is kept
 per (table, filters, column, length), so every query and graph on the
 same leaf shares it. Within a query, a message read at its receiver's rows is
 kept too, as several messages out of that receiver multiply it in.
-``release`` frees one query's messages and reads, flat graphs and
-flattenings only. All of it is filled on first use;
+``release`` frees one query's messages and reads, flat graphs (with
+their counts) and flattenings only. All of it is filled on first use;
 constructing the oracle fills none of it.
 
 Re-optimization temp tables are **virtual** here: ``register_temp``
@@ -71,17 +71,14 @@ building a graph. Any other spec is expanded, and equal flattenings are
 interned to one graph: an original is flattened again after
 ``drop_temp``.
 
-Counts are memoized twice: per flat graph by flat mask, and across
-graphs per canonical sub-join (relations sorted by alias; join edges
-with sorted endpoints, sorted), whose key is built only when the
-graph's own memo misses. A ``cards`` batch maps all its masks to flat
-masks in one vector operation. Memo and leaf keys are interned ints:
-each flat graph maps its relations' (alias, table, filters), its
-leaves' (table, filters) and its edge keys to small ints once, through
-one dict kept for the oracle's lifetime, so a lookup hashes ints, never
-nested filters. One harness run shares a single oracle across
-PG / perfect-(n) / re-optimization configs, so each distinct sub-join
-is counted once.
+Counts are memoized per flat graph by flat mask, and a ``cards`` batch
+maps all its masks to flat masks in one vector operation. Graph and leaf
+keys are built of interned ints: each flat graph maps its relations'
+(alias, table, filters), its leaves' (table, filters) and its edge keys
+to small ints once, through one dict kept for the oracle's lifetime, so
+a lookup hashes ints, never nested filters. One harness run shares a
+single oracle across PG / perfect-(n) / re-optimization configs, so a
+query's configs share its counts.
 """
 from __future__ import annotations
 
@@ -117,14 +114,15 @@ class _FlatGraph:
     """A spec with its temps flattened to base relations.
 
     ``spec.graph`` numbers the relations by sorted alias, and the join
-    edges are sorted by their canonical key, so a flat mask's count memo
-    key is read off in order. ``intern`` maps each relation's (alias,
-    table, filters), each leaf's (table, filters) and each edge's key to a
-    small int once per graph: memo keys are tuples of those ints, and
-    ``leaf`` keys the oracle's leaf state. On a tree joined on dense keys,
-    ``rows`` holds each relation's filtered row count, and ``side``,
-    ``col`` and ``size`` hold, per directed edge (x, y), x's side of the
-    tree, x's key column and the length of a message along the edge.
+    edges are sorted by their key, their endpoints sorted. ``intern`` maps
+    each relation's (alias, table, filters), each leaf's (table, filters)
+    and each edge's key to a small int once per graph: ``key``, the
+    relations' ints and the edges' ints in that order, interns equal
+    flattenings to one graph, and ``leaf`` keys the oracle's leaf state.
+    On a tree joined on dense keys, ``rows`` holds each relation's
+    filtered row count, and ``side``, ``col`` and ``size`` hold, per
+    directed edge (x, y), x's side of the tree, x's key column and the
+    length of a message along the edge.
     """
 
     def __init__(self, relations, joins, intern, dense_max, n_rows):
@@ -134,13 +132,12 @@ class _FlatGraph:
         self.spec = QuerySpec("flat", tuple(sorted(relations, key=lambda r: r.alias)),
                               tuple(j for _, j in edges))
         self.graph = g = self.spec.graph
-        self.rel_id = tuple(intern((r.alias, r.table, r.filters)) for r in self.spec.relations)
+        self.key = (tuple(intern((r.alias, r.table, r.filters)) for r in self.spec.relations),
+                    tuple(intern(k) for k, _ in edges))
         self.leaf = tuple(intern((r.table, r.filters)) for r in self.spec.relations)
-        self.edge_id = tuple(intern(k) for k, _ in edges)
         self.ends = tuple((g.index[a], g.index[b]) for ((a, _), (b, _)), _ in edges)
         self.edge_mask = tuple(1 << x | 1 << y for x, y in self.ends)
         full = (1 << len(g.aliases)) - 1
-        self.key = self.canon(full)
         cuts = dict(g.tree_cuts() or ())
         self.tree = len(cuts) == len(joins) == len(g.aliases) - 1
         self.side, self.col, self.size = {}, {}, {}
@@ -155,18 +152,8 @@ class _FlatGraph:
                 self.side[y, x] = full ^ self.side[x, y]
         if self.tree:
             self.rows = [n_rows(r) for r in self.spec.relations]
-        #: flat mask → count, read before the canonical memo key is built.
+        #: flat mask → count: the oracle's one count memo.
         self.counts: dict[int, int] = {}
-
-    def canon(self, f: int) -> tuple:
-        """Count memo key of the sub-join on flat mask ``f``."""
-        return (tuple(k for i, k in enumerate(self.rel_id) if f >> i & 1),
-                tuple(k for k, m in zip(self.edge_id, self.edge_mask) if f & m == m))
-
-    def is_tree(self, key: tuple) -> bool:
-        """Whether the tree path counts the connected sub-join keyed ``key``."""
-        rels, edges = key
-        return self.tree and len(edges) == len(rels) - 1
 
 
 class TrueCardinalityOracle:
@@ -178,9 +165,8 @@ class TrueCardinalityOracle:
         self._key_bound = sum(len(pdf) for pdf in ds.tables.values())
         self._con: duckdb.DuckDBPyConnection | None = None  # see _duck
         #: (alias, table, filters), (table, filters) and edge keys → small
-        #: ints, for the oracle's lifetime; memo and leaf keys are built of them.
+        #: ints, for the oracle's lifetime; graph and leaf keys are built of them.
         self._ids: dict[tuple, int] = {}
-        self._memo: dict[tuple, int] = {}
         self._temps: dict[str, _TempDef] = {}
         #: Leaf state, kept for the oracle's lifetime, keyed by the leaf's
         #: (table, filters) id: (indices of the rows the filters pass, None
@@ -191,7 +177,7 @@ class TrueCardinalityOracle:
         self._col_cache: dict[tuple, np.ndarray] = {}
         self._col_sorts: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._leaf_msgs: dict[tuple, _Msg] = {}
-        #: flat graphs by their memo key, so equal flattenings share messages.
+        #: flat graphs by their key, so equal flattenings share counts and messages.
         self._graphs: dict[tuple, _FlatGraph] = {}
         #: id(spec) → (spec, its flat graph, flat mask of each spec.graph bit).
         self._specs: dict[int, tuple] = {}
@@ -201,7 +187,7 @@ class TrueCardinalityOracle:
         self._looked: dict[tuple, np.ndarray] = {}
         #: (table, col) → max value of a dense key column, else None.
         self._key_max: dict[tuple[str, str], int | None] = {}
-        self.n_counts = 0  # cache misses (actual counting work)
+        self.n_counts = 0  # per-graph misses (actual counting work)
 
     def _duck(self) -> duckdb.DuckDBPyConnection:
         """DuckDB over the dataset's tables, opened on first use."""
@@ -329,15 +315,13 @@ class TrueCardinalityOracle:
     def _count(self, g: _FlatGraph, f: int) -> int:
         n = g.counts.get(f)
         if n is None:
-            key = g.canon(f)
-            if key not in self._memo:
-                self.n_counts += 1
-                if g.is_tree(key):
-                    self._memo[key] = self._tree_count(g, f)
-                else:
-                    sql = g.spec.count_sql(g.graph.subset(f))
-                    self._memo[key] = int(self._duck().execute(sql).fetchone()[0])
-            n = g.counts[f] = self._memo[key]
+            self.n_counts += 1
+            if g.tree:
+                n = self._tree_count(g, f)
+            else:
+                sql = g.spec.count_sql(g.graph.subset(f))
+                n = int(self._duck().execute(sql).fetchone()[0])
+            g.counts[f] = n
         return n
 
     def _dense_max(self, table: str, col: str) -> int | None:
@@ -472,7 +456,7 @@ class TrueCardinalityOracle:
         base alias of the flattened spec.
         """
         g, f = self._flat(spec, spec.graph.mask(subset))
-        if not g.is_tree(g.canon(f)):
+        if not g.tree:
             s = g.graph.subset(f)
             sql = (f"SELECT {alias}.{col} AS v, COUNT(*) AS c FROM "
                    f"{g.spec.from_sql(s)} WHERE {g.spec.where_sql(s)} "
@@ -542,9 +526,10 @@ class TrueCardinalityOracle:
 
     def release(self, spec_name: str) -> None:
         """Free the state of the query just counted: its messages and their
-        reads, flat graphs and flattenings. The count memo and the leaf state, which
-        any later query on the same (table, filters) reuses, are kept."""
-        # Flat graphs and their messages are interned by content, so a
+        reads, flat graphs (with their counts) and flattenings. The leaf
+        state, which any later query on the same (table, filters) reuses,
+        is kept."""
+        # Flat graphs, their counts and messages are interned by content, so a
         # later query could share them too; dropping them after each query
         # is only a memory valve.
         self._msg_cache.clear()

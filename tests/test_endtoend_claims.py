@@ -15,8 +15,10 @@ claims hold on our substrate:
 It also pins the run's outputs, unit by unit, against a golden file, so a
 speed-up that moves any plan, cost or simulated time fails here. A second
 golden file pins the same run at SF=0.1, the bench scale, where counts and
-messages are ten times larger. After a deliberate output change,
-regenerate both with ``PYTHONPATH=src python -m tests.test_endtoend_claims``
+messages are ten times larger. A third pins every config of the Fig. 7
+threshold sweep and the Figs. 2/8 perfect-(n) sweep at SF=0.01, next to
+the figure shapes EXPERIMENTS.md states. After a deliberate output change,
+regenerate all three with ``PYTHONPATH=src python -m tests.test_endtoend_claims``
 and explain the difference in CHANGES.md.
 """
 import hashlib
@@ -26,8 +28,9 @@ from pathlib import Path
 import pytest
 
 from repro.bench import tables as T
+from repro.bench.__main__ import PERFECT_CONFIGS, PERFECT_NS, THRESHOLD_CONFIGS, THRESHOLDS
 from repro.bench.harness import PG, PERFECT, REOPT32, Harness, total_times
-from repro.core.stats import analyze_pandas
+from repro.core.stats import Catalog, analyze_pandas
 from repro.imdb import gen, workload
 
 from .conftest import SEED, SF
@@ -38,6 +41,9 @@ GOLDEN, GOLDEN_BENCH = (
     Path(__file__).parent / "golden" / f"endtoend_sf{sf}_seed{SEED}.json"
     for sf in (SF, BENCH_SF)
 )
+GOLDEN_SWEEPS = Path(__file__).parent / "golden" / f"sweeps_sf{SF}_seed{SEED}.json"
+#: Every config the threshold and perfect-(n) sweeps run, once each.
+SWEEP_CONFIGS = list({c.name: c for c in THRESHOLD_CONFIGS + PERFECT_CONFIGS}.values())
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +60,17 @@ def fresh_harness(sf: float) -> Harness:
 def run_full(h: Harness):
     """The 113 queries under pg, perfect-17 and reopt-32."""
     return h.run_workload(workload.job_lite_workload(), [PG, PERFECT, REOPT32])
+
+
+def run_sweeps(h: Harness):
+    """The 113 queries under every config of both sweeps."""
+    return h.run_workload(workload.job_lite_workload(), SWEEP_CONFIGS)
+
+
+@pytest.fixture(scope="session")
+def sweep_results(ds, catalog):
+    # Re-optimization adds temp-table statistics to the harness's catalog.
+    return run_sweeps(Harness(ds, Catalog(dict(catalog.stats))))
 
 
 @pytest.fixture(scope="session")
@@ -104,6 +121,32 @@ def test_outputs_match_golden(full_results):
 
 def test_bench_scale_outputs_match_golden(bench_results):
     assert_matches_golden(bench_results, GOLDEN_BENCH)
+
+
+def test_sweep_outputs_match_golden(sweep_results):
+    assert_matches_golden(sweep_results, GOLDEN_SWEEPS)
+
+
+# -- the shapes of Figs. 2, 7 and 8, as EXPERIMENTS.md states them -------
+
+def test_fig7_threshold_curve_is_flat(sweep_results):
+    pg = total_times(sweep_results["pg"])[0]
+    gains = [1 - total_times(sweep_results[f"reopt-{t}"])[0] / pg for t in THRESHOLDS]
+    assert max(gains) - min(gains) <= 0.04  # 41.3% ... 37.4%
+
+
+def test_fig2_marked_drop_only_from_perfect_4(sweep_results):
+    pg = total_times(sweep_results["pg"])[0]
+    rel = {n: total_times(sweep_results[f"perfect-{n}"])[0] / pg for n in PERFECT_NS}
+    assert abs(rel[3] - 1) <= 0.10  # 0.938
+    assert rel[5] <= 0.75  # 0.681
+
+
+def test_fig8_reopt_gain_vanishes_from_perfect_10(sweep_results):
+    for n in (10, 13, 17):
+        runs = sweep_results[f"perfect-{n}+reopt"]
+        assert sum(r.outcome.n_replans for r in runs.values()) == 0, n
+        assert total_times(runs)[0] == total_times(sweep_results[f"perfect-{n}"])[0], n
 
 
 # -- the paper's tables at the bench scale ------------------------------
@@ -226,6 +269,7 @@ def test_reopt_rarely_catastrophic(full_results):
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    for sf, path in ((SF, GOLDEN), (BENCH_SF, GOLDEN_BENCH)):
-        path.write_text(json.dumps(unit_digests(run_full(fresh_harness(sf))), indent=1,
+    for path, sf, run in ((GOLDEN, SF, run_full), (GOLDEN_BENCH, BENCH_SF, run_full),
+                          (GOLDEN_SWEEPS, SF, run_sweeps)):
+        path.write_text(json.dumps(unit_digests(run(fresh_harness(sf))), indent=1,
                                    sort_keys=True) + "\n")
