@@ -14,11 +14,19 @@ message per directed edge. For a connected T holding relation c but not
 its neighbour p, msg(T, c→p) is a dense ``join_key → #rows`` array: the
 ``np.bincount`` over c's key column on edge (c, p) of c's rows, each
 weighted by the product of msg(T_c′, c′→c) over c's neighbours c′ in T
-(T_c′ is c′'s side of T). A connected S of two or more relations is one
-dot product across one of its edges (u, v), msg(S_u, u→v) · msg(S_v,
-v→u); the edge chosen is the one whose messages not yet cached read the
-fewest rows. Messages are memoized per (flat graph, T, c, p), so a
-``cards(spec, masks)`` batch shares them. All of this is linear in
+(T_c′ is c′'s side of T). Each tree-shaped flat graph gets one root r,
+chosen when the graph is built from a closed-form price of counting all
+its connected subsets (``_best_root``), and a connected S of two or more
+relations is counted by how it meets r. Without r, the count is the
+total of msg(S, t→p), t being S's relation nearest r and p its parent:
+the message every larger set holding S reads, so counting S computes
+it. With r and one neighbour u of r, it is one dot product msg(S_u, u→r)
+· msg({r}, r→u) (S_u is S without r). With more, it is the exact sum
+over r's rows of the product of the messages into r. So counts send
+messages toward the root only and price no edges; messages themselves
+go either way, as temp statistics read them toward any relation.
+Messages are memoized per (flat graph, T, c, p), so a ``cards(spec,
+masks)`` batch shares them. All of this is linear in
 input size, never in output size. Join keys must be ints in [0, dataset
 rows], as dense surrogate IDs (all IMDB-lite keys) are.
 
@@ -28,8 +36,8 @@ when its total is below 2**53. The arithmetic rests on one fact: on
 non-negative integers below 2**53, which float64 holds exactly, a
 rounded sum or product is exact while the exact result is below 2**53,
 and is at least 2**53 once the exact result is (rounding is monotone
-and 2**53 is a float). So a float64 ``bincount`` or dot product whose
-result is below 2**53 is exact, in any summation order and with or
+and 2**53 is a float). So a float64 ``bincount``, sum or dot product
+whose result is below 2**53 is exact, in any summation order and with or
 without FMA; one that reaches 2**53 is done again in int64, or in
 Python-int object arrays where the exact total or the bound
 min(total_a * max_b, total_b * max_a) passes 2**63. A row's weight,
@@ -98,6 +106,10 @@ _I64_MAX = 2**63 - 1
 _F64_EXACT = 2**53
 #: A message: the array, its total and its largest entry (Python ints).
 _Msg = tuple[np.ndarray, int, int]
+#: What a root sum costs per row of the root and message multiplied in,
+#: as a share of one row of an upward weighted bincount (see _best_root):
+#: a gather and a product against a bincount's scatter.
+_ROOT_SUM_COST = 0.25
 
 
 @dataclass(frozen=True)
@@ -122,7 +134,10 @@ class _FlatGraph:
     On a tree joined on dense keys, ``rows`` holds each relation's
     filtered row count, and ``side``, ``col`` and ``size`` hold, per
     directed edge (x, y), x's side of the tree, x's key column and the
-    length of a message along the edge.
+    length of a message along the edge; ``root`` is the relation that
+    counts meet (see ``_best_root``), ``parent`` maps every other relation
+    to its neighbour toward the root, and ``levels`` holds the relations
+    at each depth, the root's first, as masks.
     """
 
     def __init__(self, relations, joins, intern, dense_max, n_rows):
@@ -135,25 +150,81 @@ class _FlatGraph:
         self.key = (tuple(intern((r.alias, r.table, r.filters)) for r in self.spec.relations),
                     tuple(intern(k) for k, _ in edges))
         self.leaf = tuple(intern((r.table, r.filters)) for r in self.spec.relations)
-        self.ends = tuple((g.index[a], g.index[b]) for ((a, _), (b, _)), _ in edges)
-        self.edge_mask = tuple(1 << x | 1 << y for x, y in self.ends)
+        ends = [(g.index[a], g.index[b]) for ((a, _), (b, _)), _ in edges]
         full = (1 << len(g.aliases)) - 1
         cuts = dict(g.tree_cuts() or ())
         self.tree = len(cuts) == len(joins) == len(g.aliases) - 1
         self.side, self.col, self.size = {}, {}, {}
-        for (x, y), (((_, cx), (_, cy)), _), m in zip(self.ends, edges, self.edge_mask):
+        for (x, y), (((_, cx), (_, cy)), _) in zip(ends, edges):
             hi = [dense_max(self.spec.relations[v].table, c) for v, c in ((x, cx), (y, cy))]
             self.tree = self.tree and None not in hi
             if self.tree:
                 self.col[x, y], self.col[y, x] = cx, cy
                 # Long enough for both endpoints' keys, so no lookup reads past it.
                 self.size[x, y] = self.size[y, x] = 1 + max(hi)
-                self.side[x, y] = cuts[m] if cuts[m] >> x & 1 else full ^ cuts[m]
+                side = cuts[1 << x | 1 << y]
+                self.side[x, y] = side if side >> x & 1 else full ^ side
                 self.side[y, x] = full ^ self.side[x, y]
         if self.tree:
             self.rows = [n_rows(r) for r in self.spec.relations]
+            self.root = r = _best_root(g.nbr, self.rows)
+            # x's parent is the neighbour on the root's side of their edge.
+            self.parent = {x: y for (x, y), side in self.side.items() if not side >> r & 1}
+            self.levels, level, seen = [], 1 << r, 1 << r
+            while level:
+                self.levels.append(level)
+                level = g.neighborhood(level) & ~seen
+                seen |= level
         #: flat mask → count: the oracle's one count memo.
         self.counts: dict[int, int] = {}
+
+
+def _rooted(nbr, rows, x: int, up: int, memo: dict) -> tuple[int, int]:
+    """D(x) and B(x) for the tree with adjacency masks ``nbr`` rooted so
+    that ``up`` is the mask of x's parent (0: x is the root). D(x), the
+    number of connected subsets whose relation nearest the root is x, is
+    the product of 1 + D(c) over x's children c; B(x) is the rows that
+    the upward bincounts of those subsets and of all below x read, x alone
+    (a leaf's message) reading none. Memoized in ``memo`` per (x, up)."""
+    hit = memo.get((x, up))
+    if hit is None:
+        d, b = 1, 0
+        kids = nbr[x] & ~up
+        while kids:
+            low = kids & -kids
+            kids ^= low
+            dc, bc = _rooted(nbr, rows, low.bit_length() - 1, 1 << x, memo)
+            d *= 1 + dc
+            b += bc
+        hit = memo[x, up] = d, b + rows[x] * (d - 1)
+    return hit
+
+
+def _best_root(nbr, rows) -> int:
+    """The root that makes counting every connected subset of the tree
+    with adjacency masks ``nbr`` and filtered row counts ``rows`` cheapest;
+    the lowest index wins ties.
+
+    Rooted at r, a subset without r costs one upward bincount over the
+    rows of its relation nearest r, B summed over r's children; one
+    holding r and a set K of two or more of r's children costs a sum over
+    r's rows of |K| messages' product, priced at ``_ROOT_SUM_COST`` per
+    row and message, for Π_{c∈K} D(c) subsets. Σ_{|K|≥2} |K|·Π_{c∈K} D(c)
+    is Σ_c D(c)·D(r)/(1 + D(c)), the derivative of Π_c (1 + D(c)·t) at
+    t = 1, less its |K| = 1 terms Σ_c D(c); no subset is enumerated.
+    """
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def cost(r: int) -> float:
+        kids = [_rooted(nbr, rows, c, 1 << r, memo)
+                for c in range(len(nbr)) if nbr[r] >> c & 1]
+        d = 1
+        for dc, _ in kids:
+            d *= 1 + dc
+        sums = sum(dc * d // (1 + dc) - dc for dc, _ in kids)
+        return sum(b for _, b in kids) + _ROOT_SUM_COST * rows[r] * sums
+
+    return min(range(len(nbr)), key=cost)
 
 
 class TrueCardinalityOracle:
@@ -380,24 +451,27 @@ class TrueCardinalityOracle:
         return self._col_sorts[key]
 
     def _tree_count(self, g: _FlatGraph, f: int) -> int:
-        """Count of the connected sub-join on ``f``: a dot product across
-        the first edge whose messages not yet cached read the fewest
-        rows. Pricing stops at an edge whose messages are both cached."""
+        """Count of the connected sub-join on ``f``, by where it meets the
+        graph's root: without the root, the total of the message out of
+        ``f``'s relation nearest the root to its parent, which every
+        larger set holding ``f`` then reads from the cache; with the root
+        and one of its neighbours, one dot product across their edge; with
+        more, the exact sum over the root's rows of the product of the
+        messages coming into it."""
         if f & (f - 1) == 0:
             return g.rows[f.bit_length() - 1]
-        cache, rows, side = self._msg_cache, g.rows, g.side
-        best = None
-        for (x, y), m in zip(g.ends, g.edge_mask):
-            if f & m == m:
-                fx = f & side[x, y]
-                c = ((g, fx, x, y) not in cache) * rows[x] + (
-                    (g, f ^ fx, y, x) not in cache) * rows[y]
-                if best is None or c < best[0]:
-                    best = c, fx, x, y
-                    if not c:  # both messages cached: no edge is cheaper
-                        break
-        _, fx, x, y = best
-        return _dot(self._msg(g, fx, x, y), self._msg(g, f ^ fx, y, x))
+        r = g.root
+        if not f >> r & 1:
+            for level in g.levels:
+                top = f & level  # one relation: f is connected
+                if top:
+                    x = top.bit_length() - 1
+                    return self._msg(g, f, x, g.parent[x])[1]
+        nbrs = g.graph.nbr[r] & f
+        if nbrs & (nbrs - 1) == 0:
+            y = nbrs.bit_length() - 1
+            return _dot(self._msg(g, f ^ 1 << r, y, r), self._msg(g, 1 << r, r, y))
+        return _sum(*self._weights(g, f, r))
 
     def _msg(self, g: _FlatGraph, T: int, x: int, y: int) -> _Msg:
         """msg(T, x→y) with its total, the count of T, and its largest entry.
@@ -549,9 +623,15 @@ def _ints(a: np.ndarray) -> np.ndarray:
     return a.astype(np.int64) if a.dtype == np.float64 else a
 
 
-def _total(w: np.ndarray, bound: int) -> int:
-    """Exact sum of non-negative integer weights (int64 or Python ints),
-    each at most ``bound``."""
+def _sum(w: np.ndarray, bound: int) -> int:
+    """Exact sum of non-negative integer weights (float64, int64 or Python
+    ints), each at most ``bound``: the float64 sum while it is below 2**53
+    (exact, see the module docstring), else in int64 chunks or Python ints."""
+    if w.dtype == np.float64:
+        s = w.sum()
+        if s < _F64_EXACT:
+            return int(s)
+        w = _ints(w)
     step = _I64_MAX // max(bound, 1)
     if w.dtype == object or step >= len(w):
         return int(w.sum())
@@ -567,20 +647,13 @@ def _bincount(keys: np.ndarray, w: np.ndarray | None, bound: int,
     if w is None:
         out = np.bincount(keys, minlength=size).astype(np.float64)
         return out, len(keys), int(out.max(initial=0))
-    total = None
-    if w.dtype == object or bound >= _F64_EXACT:
-        total = _total(w, bound)
-    if total is None or total < _F64_EXACT:
-        # Every weight is below 2**53, so the sums are exact unless the
-        # float total reaches 2**53 (see the module docstring).
+    total = _sum(w, bound)
+    if total < _F64_EXACT:
+        # No bin passes the total, so every float sum is exact.
         out = np.bincount(keys, weights=w.astype(np.float64, copy=False), minlength=size)
-        sums = out.sum()
-        if sums < _F64_EXACT:
-            return out, int(sums), int(out.max(initial=0))
-        w = _ints(w)
-        total = _total(w, bound)
-    out = np.zeros(size, dtype=np.int64 if total <= _I64_MAX else object)
-    np.add.at(out, keys, w.astype(out.dtype))
+    else:
+        out = np.zeros(size, dtype=np.int64 if total <= _I64_MAX else object)
+        np.add.at(out, keys, _ints(w).astype(out.dtype))
     return out, total, int(out.max(initial=0))
 
 

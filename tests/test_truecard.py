@@ -7,9 +7,11 @@ it is cross-checked against plain DuckDB SQL on many real sub-joins.
 import dataclasses
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import duckdb
 import numpy as np
@@ -590,7 +592,7 @@ def test_totals_past_int64_with_small_maxima_stay_off_object_arrays(monkeypatch)
             {"j": ids, "k": zero}, {"k": zero}, {"k": zero}]
     assert n**6 > 2**63 and n**5 < 2**53
     seen = []
-    for name in ("_bincount", "_dot"):
+    for name in ("_bincount", "_dot", "_sum"):
         fn = getattr(truecard, name)
 
         def spy(*args, fn=fn):
@@ -606,6 +608,137 @@ def test_totals_past_int64_with_small_maxima_stay_off_object_arrays(monkeypatch)
     assert gc.tolist() == [n**4] * n
     assert seen and object not in seen
     assert all(m[0].dtype == np.float64 for m in orc._msg_cache.values())
+
+
+# -- rooted counting -----------------------------------------------------
+
+def _rooted_at(r: int):
+    """Root every flat graph built inside at relation ``r``."""
+    return mock.patch.object(truecard, "_best_root", lambda nbr, rows: r)
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_counts_exact_at_float_limit_from_every_root(d):
+    """test_counts_exact_at_float_limit's 5-chain, rooted at each relation."""
+    p = 2**13
+    rows = {1: [(p, p, p, 2 * p, 1), (1, 1, 1, 1, 1)],
+            0: [(p, p, p, 2 * p, 1)],
+            -1: [(p, p, p, 2 * p - 1, 1), (p - 1, p, p, 1, 1),
+                 (p - 1, p, 1, 1, 1), (p - 1, 1, 1, 1, 1)]}[d]
+    cols = [{"k": np.repeat(np.arange(len(rows)), [r[i] for r in rows])} for i in range(5)]
+    for r in range(5):
+        with _rooted_at(r):
+            orc, spec = _chain_oracle(cols)
+            masks = spec.graph.csgs()
+            assert orc.cards(spec, masks) == [_chain_reference(cols, m) for m in masks], r
+            assert orc._flattening(spec)[0].root == r
+            for a in spec.graph.aliases:
+                gc = orc.group_counts(spec, spec.aliases, a, "k")
+                assert gc.to_dict() == {v: math.prod(x) for v, x in enumerate(rows)}, (r, a)
+
+
+def test_star_counts_past_int64_from_every_root():
+    """test_counts_are_exact_past_float_and_int64_range's 7-way star (a
+    count of 3001**7 > 2**63), rooted at each relation."""
+    n, n_rel = 3001, 7
+    tables = {f"r{i}": pd.DataFrame({"k": np.zeros(n, dtype=np.int64)})
+              for i in range(n_rel)}
+    rels = tuple(Relation(f"a{i}", f"r{i}") for i in range(n_rel))
+    joins = tuple(JoinEdge(f"a{i}", "k", "a0", "k") for i in range(1, n_rel))
+    spec = QuerySpec(name="big", relations=rels, joins=joins)
+    masks = spec.graph.csgs()
+    for r in range(n_rel):
+        with _rooted_at(r):
+            orc = TrueCardinalityOracle(Dataset(sf=0.0, seed=0, tables=tables))
+            got = orc.cards(spec, masks)
+            assert orc._flattening(spec)[0].root == r
+        assert got == [n ** m.bit_count() for m in masks], r
+        assert all(type(c) is int for c in got)
+        for a in spec.graph.aliases:
+            gc = orc.group_counts(spec, spec.aliases, a, "k")
+            assert gc.to_dict() == {0: n**n_rel}, (r, a)
+        assert orc._con is None
+
+
+def _tree_graphs():
+    """Join graphs of trees of 1 to 9 relations (chains, stars and random
+    shapes), relation i being ``a{i}``."""
+    rnd = random.Random(17)
+    shapes = [[], [0], [0, 1, 2, 3], [0, 0, 0, 0, 0]]
+    shapes += [[rnd.randrange(i + 1) for i in range(n - 1)] for n in range(3, 10) for _ in range(4)]
+    for parents in shapes:
+        rels = tuple(Relation(f"a{i}", f"r{i}") for i in range(len(parents) + 1))
+        joins = tuple(JoinEdge(f"a{i + 1}", "k", f"a{p}", "k") for i, p in enumerate(parents))
+        yield QuerySpec(name="tree", relations=rels, joins=joins).graph
+
+
+def _distances(nbr, r):
+    """Each relation's number of edges from ``r``."""
+    dist, frontier, k = {r: 0}, [r], 0
+    while frontier:
+        k += 1
+        frontier = [c for v in frontier for c in range(len(nbr))
+                    if nbr[v] >> c & 1 and c not in dist]
+        dist.update(dict.fromkeys(frontier, k))
+    return dist
+
+
+def test_rooted_subtree_counts_equal_csgs_by_top_relation():
+    """D(x) is the number of connected subsets whose relation nearest the
+    root is x, for every root of every tree."""
+    for g in _tree_graphs():
+        nbr, csgs = g.nbr, g.csgs()
+        rows = [1] * len(nbr)
+        for r in range(len(nbr)):
+            dist = _distances(nbr, r)
+            tops = [min((v for v in range(len(nbr)) if m >> v & 1), key=dist.get) for m in csgs]
+            for x in range(len(nbr)):
+                up = next((1 << y for y in range(len(nbr))
+                           if nbr[x] >> y & 1 and dist[y] < dist[x]), 0)
+                assert truecard._rooted(nbr, rows, x, up, {})[0] == tops.count(x), (g.aliases, r, x)
+
+
+def test_best_root_minimizes_enumerated_cost():
+    """_best_root's closed form against a cost read off every connected
+    subset: a subset without the root, of two or more relations, reads its
+    top relation's rows; one holding the root and k >= 2 of its neighbours
+    reads _ROOT_SUM_COST * k rows per root row."""
+    rnd = random.Random(5)
+    for g in _tree_graphs():
+        nbr, csgs = g.nbr, g.csgs()
+        for _ in range(3):
+            rows = [rnd.choice([1, 10, 1000, 100_000]) for _ in nbr]
+            costs = []
+            for r in range(len(nbr)):
+                dist = _distances(nbr, r)
+                cost = 0
+                for m in csgs:
+                    if not m >> r & 1 and m & (m - 1):
+                        cost += rows[min((v for v in range(len(nbr)) if m >> v & 1), key=dist.get)]
+                    elif m >> r & 1 and (nbr[r] & m).bit_count() >= 2:
+                        cost += truecard._ROOT_SUM_COST * rows[r] * (nbr[r] & m).bit_count()
+                costs.append(cost)
+            assert truecard._best_root(nbr, rows) == costs.index(min(costs)), (g.aliases, rows)
+
+
+_ROOTS = """
+from repro.core.truecard import TrueCardinalityOracle
+from repro.imdb import gen, workload
+orc = TrueCardinalityOracle(gen.generate(sf=0.01, seed=42))
+print([orc._flattening(s)[0].root for s in workload.job_lite_workload()])
+"""
+
+
+def test_roots_do_not_depend_on_hash_seed():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    roots = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", _ROOTS], env=env,
+                             capture_output=True, text=True, check=True)
+        roots.add(out.stdout.strip())
+    assert len(roots) == 1, roots
 
 
 # -- canonical count memo ----------------------------------------------
@@ -712,3 +845,34 @@ def test_tree_counts_match_duckdb_on_random_trees(case, rnd):
     )
     assert (orc._con is not None) == bad_key_joined
     orc.close()
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_trees())
+def test_tree_counts_match_duckdb_from_every_root(case):
+    """The random tree specs, counted and grouped with each relation as root."""
+    tables, spec, _ = case
+    masks = spec.graph.csgs()
+    con = duckdb.connect()
+    try:
+        for name, pdf in tables.items():
+            con.register(name, pdf)
+        want = [con.execute(spec.count_sql(spec.graph.subset(m))).fetchone()[0] for m in masks]
+        groups = {a: dict(con.execute(
+            f"SELECT {a}.v, COUNT(*) FROM {spec.from_sql()} "
+            f"WHERE {spec.where_sql()} GROUP BY 1").fetchall()) for a in spec.aliases}
+    finally:
+        con.close()
+    for r in range(len(spec.relations)):
+        with _rooted_at(r):
+            orc = TrueCardinalityOracle(Dataset(sf=0.0, seed=0, tables=tables))
+            assert orc.cards(spec, masks) == want, r
+            g = orc._flattening(spec)[0]
+        if g.tree:
+            assert g.root == r
+            # Counting sends messages toward the root only.
+            assert all(y == g.parent[x] for _, _, x, y in orc._msg_cache if x != r), r
+        for a in sorted(spec.aliases):
+            gc = orc.group_counts(spec, spec.aliases, a, "v")
+            assert {int(v): int(c) for v, c in gc.items()} == groups[a], (r, a)
+        orc.close()
