@@ -4,14 +4,12 @@ Every query is planned with bushy dynamic programming over connected
 subgraphs without cartesian products — the System R lineage the paper
 describes (§II-B). The DP visits only csg-cmp pairs: a connected
 subgraph (csg) and a connected complement (cmp) adjacent to it, so each
-join considered is a valid one. On a tree-shaped join graph — every
-JOB-lite query, and every spec re-optimization rewrites one into — the
-pairs of a csg are exactly its internal edges: cutting edge ``e`` splits
-it into two connected halves (:meth:`JoinGraph.tree_cuts`), so all pairs
-come from a few array operations over the csgs and the edges. A graph
-with a cycle gets its pairs from DPccp's EnumerateCmp
-(:meth:`JoinGraph.cmps`; Moerkotte & Neumann, VLDB 2006). Both feed one
-pricing routine.
+join considered is a valid one. Every join graph is a tree (every
+JOB-lite query, and every spec re-optimization rewrites one into;
+:class:`~repro.core.query.QuerySpec` rejects a cycle), so the pairs of a
+csg are exactly its internal edges: cutting edge ``e`` splits it into
+two connected halves (:meth:`JoinGraph.tree_cuts`), and all pairs come
+from a few array operations over the csgs and the edges.
 
 The planner asks the estimator for every csg's cardinality in one
 ``cards`` call and prices all pairs with numpy: join costs once for all
@@ -67,23 +65,15 @@ class PlannerResult:
 _POP8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
-def _pairs(g: JoinGraph, csgs: np.ndarray, pos):
+def _pairs(g: JoinGraph, csgs: np.ndarray):
     """Every csg-cmp pair, ordered by union: the position of its union in
     ``csgs``, its numerically lower half and its higher half."""
-    cuts = g.tree_cuts()
-    if cuts is not None:
-        edge, side = np.array(cuts, dtype=np.int64).reshape(-1, 2).T
-        u, e = np.nonzero((csgs[:, None] & edge) == edge)
-        union = csgs[u]
-        half = union & side[e]
-        rest = union ^ half
-        return u, np.minimum(half, rest), np.maximum(half, rest)
-    pairs = [(s1 | s2, s1, s2) for s1 in csgs.tolist() for s2 in g.cmps(s1)]
-    union, s1, s2 = np.array(pairs, dtype=np.int64).T
-    u = pos[union]
-    by_union = np.argsort(u, kind="stable")
-    s1, s2 = s1[by_union], s2[by_union]
-    return u[by_union], np.minimum(s1, s2), np.maximum(s1, s2)
+    edge, side = np.array(g.tree_cuts(), dtype=np.int64).reshape(-1, 2).T
+    u, e = np.nonzero((csgs[:, None] & edge) == edge)
+    union = csgs[u]
+    half = union & side[e]
+    rest = union ^ half
+    return u, np.minimum(half, rest), np.maximum(half, rest)
 
 
 def plan_query(spec: QuerySpec, estimator, cost: CostModel) -> PlannerResult:
@@ -115,7 +105,7 @@ def plan_query(spec: QuerySpec, estimator, cost: CostModel) -> PlannerResult:
     oracle_time = getattr(estimator, "oracle_time", 0.0) - o1
     t2 = time.perf_counter()
 
-    u, lo, hi = _pairs(g, csgs, pos)
+    u, lo, hi = _pairs(g, csgs)
     # Row 0: the lower half's position; row 1: the higher half's.
     halves = pos[np.array((lo, hi))]
     # Join costs do not depend on the DP: price every pair at once.

@@ -210,9 +210,10 @@ class PerfectEstimator:
 
 def _removable(g: JoinGraph, m: int) -> int:
     """Bit of the highest relation whose removal keeps the connected
-    ``g`` mask ``m`` (≥ 2 relations) connected."""
+    ``g`` mask ``m`` (≥ 2 relations) connected: in a tree, the highest
+    relation with one neighbour in ``m``."""
     return next(
         1 << i
         for i in reversed(range(m.bit_length()))
-        if m >> i & 1 and g.is_connected(m ^ 1 << i)
+        if m >> i & 1 and (g.nbr[i] & m).bit_count() == 1
     )

@@ -2,8 +2,11 @@
 
 A :class:`QuerySpec` is the select-project-join shape the paper studies
 (JOB queries are all SPJ with equi-joins only, §III-A). It is engine
-neutral: the optimizer plans over it, the DuckDB oracle counts over it,
-and the Spark executor builds a DataFrame join tree from it.
+neutral: the optimizer plans over it, the true-cardinality oracle counts
+over it, and the Spark executor builds a DataFrame join tree from it.
+Its join graph must be a tree, as every JOB-lite query's is; contracting
+a connected subset into one relation, as re-optimization does, keeps it
+one.
 
 Aliases are first-class (JOB reuses tables under several aliases, e.g.
 ``it1``/``it2`` for ``info_type``), so a 17-relation query does not need
@@ -139,6 +142,8 @@ class QuerySpec:
                 raise ValueError(f"min_col alias {a} unknown")
         if not self.is_connected(frozenset(known)):
             raise ValueError(f"query {self.name} join graph is disconnected")
+        if len(self.joins) != len(self.relations) - 1:
+            raise ValueError(f"query {self.name} join graph has a cycle")
 
     # -- graph helpers -------------------------------------------------
     @property
@@ -223,14 +228,10 @@ def _where_sql(relations, joins) -> str:
 
 
 class JoinGraph:
-    """Bitmask adjacency of a query's join graph.
+    """Bitmask adjacency of a query's join graph, which is a tree.
 
     Aliases are numbered in sorted order: bit ``i`` of a mask stands for
     ``aliases[i]`` and ``nbr[i]`` is the mask of its join neighbours.
-    The connected-subgraph enumeration is EnumerateCsg/EnumerateCmp of
-    Moerkotte & Neumann, "Analysis of Two Existing and One New Dynamic
-    Programming Algorithm for the Generation of Optimal Bushy Join Trees
-    without Cross Products" (VLDB 2006).
     """
 
     def __init__(self, spec: QuerySpec):
@@ -266,31 +267,30 @@ class JoinGraph:
         return bool(mask) and seen == mask
 
     def csgs(self) -> list[int]:
-        """Every connected subgraph (EnumerateCsg), in no fixed order."""
-        out: list[int] = []
-        for i in reversed(range(len(self.nbr))):
-            out.append(1 << i)
-            self._grow(1 << i, self.nbr[i], (2 << i) - 1, out)
-        return out
+        """Every connected subgraph, in no fixed order.
 
-    def cmps(self, s1: int) -> list[int]:
-        """Every connected complement of the csg ``s1`` (EnumerateCmp).
-
-        Each is a csg disjoint from and adjacent to ``s1`` whose lowest
-        member is above ``s1``'s, so every unordered csg-cmp pair is
-        reached from exactly one of its halves.
+        With the tree rooted at relation 0, the subgraphs whose relation
+        nearest the root is x are x joined with, for each child of x,
+        either nothing or one of the subgraphs topped at that child.
         """
-        x = s1 | (((s1 & -s1) << 1) - 1)
-        n = self.neighborhood(s1) & ~x
         out: list[int] = []
-        for i in reversed(range(n.bit_length())):
-            if n >> i & 1:
-                out.append(1 << i)
-                self._grow(1 << i, self.nbr[i], x | (n & ((2 << i) - 1)), out)
+
+        def topped(x: int, up: int) -> list[int]:
+            subs = [1 << x]
+            kids = self.nbr[x] & ~up
+            while kids:
+                low = kids & -kids
+                kids ^= low
+                below = topped(low.bit_length() - 1, 1 << x)
+                subs += [s | b for s in subs for b in below]
+            out.extend(subs)
+            return subs
+
+        topped(0, 0)
         return out
 
-    def tree_cuts(self) -> list[tuple[int, int]] | None:
-        """``(edge, side)`` masks of every edge if the graph is a tree, else None.
+    def tree_cuts(self) -> list[tuple[int, int]]:
+        """``(edge, side)`` masks of every edge.
 
         ``edge`` holds the edge's two endpoints and ``side`` one endpoint's
         component of the tree with that edge removed, so a connected
@@ -298,8 +298,6 @@ class JoinGraph:
         halves ``m & side`` and ``m & ~side``.
         """
         n = len(self.nbr)
-        if sum(m.bit_count() for m in self.nbr) != 2 * (n - 1):
-            return None
         # Root the tree at relation 0; each edge's side is its child's subtree.
         parent = [0] * n
         order, seen = [0], 1
@@ -315,28 +313,6 @@ class JoinGraph:
         for v in reversed(order[1:]):
             below[parent[v]] |= below[v]
         return [(1 << v | 1 << parent[v], below[v]) for v in order[1:]]
-
-    def _grow(self, s: int, s_nbr: int, x: int, out: list[int]) -> None:
-        """EnumerateCsgRec: append each connected ``s | sub`` for non-empty
-        ``sub`` drawn from ``s``'s neighbours outside ``x``, recursively.
-
-        ``s_nbr`` is ``neighborhood(s)``; a subset's neighbourhood is
-        built from the one without its lowest bit, so each costs one OR.
-        """
-        n = s_nbr & ~x
-        if not n:
-            return
-        grown = {0: s_nbr}
-        sub = n & -n
-        while sub:  # non-empty subsets of n in increasing order
-            low = sub & -sub
-            grown[sub] = grown[sub ^ low] | self.nbr[low.bit_length() - 1]
-            out.append(s | sub)
-            sub = (sub - n) & n
-        del grown[0]
-        x |= n
-        for sub, sub_nbr in grown.items():
-            self._grow(s | sub, sub_nbr, x, out)
 
 
 def connected_subsets(

@@ -8,27 +8,29 @@ ground truth.
 
 Naively ``COUNT(*)``-ing a sub-join enumerates it — a bad 5-fact join
 has combinatorially many rows, which is precisely why bad plans are
-slow. So for **acyclic** join graphs (every JOB-lite query is a tree)
+slow. Every join graph is a tree (``QuerySpec`` rejects a cycle), so
 the oracle counts by Yannakakis message passing (VLDB 1981), one
 message per directed edge. For a connected T holding relation c but not
-its neighbour p, msg(T, c→p) is a dense ``join_key → #rows`` array: the
-``np.bincount`` over c's key column on edge (c, p) of c's rows, each
-weighted by the product of msg(T_c′, c′→c) over c's neighbours c′ in T
-(T_c′ is c′'s side of T). Each tree-shaped flat graph gets one root r,
-chosen when the graph is built from a closed-form price of counting all
-its connected subsets (``_best_root``), and a connected S of two or more
-relations is counted by how it meets r. Without r, the count is the
-total of msg(S, t→p), t being S's relation nearest r and p its parent:
-the message every larger set holding S reads, so counting S computes
-it. With r and one neighbour u of r, it is one dot product msg(S_u, u→r)
-· msg({r}, r→u) (S_u is S without r). With more, it is the exact sum
+its neighbour p, msg(T, c→p) is a dense ``key code → #rows`` array: the
+``np.bincount`` over the codes of c's key column on edge (c, p) of c's
+rows, each weighted by the product of msg(T_c′, c′→c) over c's
+neighbours c′ in T (T_c′ is c′'s side of T). Each flat graph gets one
+root r, chosen when the graph is built from a closed-form price of
+counting all its connected subsets (``_best_root``), and a connected S
+of two or more relations is counted by how it meets r. Without r, the
+count is the total of msg(S, t→p), t being S's relation nearest r and p
+its parent: the message every larger set holding S reads, so counting S
+computes it. With r and one neighbour u of r, it is one dot product
+msg(S_u, u→r) · msg({r}, r→u) (S_u is S without r). With more, it is the exact sum
 over r's rows of the product of the messages into r. So counts send
 messages toward the root only and price no edges; messages themselves
 go either way, as temp statistics read them toward any relation.
 Messages are memoized per (flat graph, T, c, p), so a ``cards(spec,
-masks)`` batch shares them. All of this is linear in
-input size, never in output size. Join keys must be ints in [0, dataset
-rows], as dense surrogate IDs (all IMDB-lite keys) are.
+masks)`` batch shares them. All of this is linear in input size, never
+in output size. A key column of ints in [0, dataset rows], as dense
+surrogate IDs (all IMDB-lite keys) are, is its own codes; any other key value gets a code from one oracle-wide map, an
+integral value in that range itself and every other value a code above
+it, so equal values in any two columns get equal codes.
 
 Counts are exact Python ints. A message travels with its total (the
 count of T) and its largest entry, both Python ints, and is float64
@@ -43,18 +45,17 @@ Python-int object arrays where the exact total or the bound
 min(total_a * max_b, total_b * max_a) passes 2**63. A row's weight,
 the product of the entries coming into it, is at most the product of
 their maxima: float64 while that bound is below 2**53, int64 while it
-fits, else Python ints. Whether a spec is a tree on dense keys is
-decided once per spec; cyclic graphs and non-dense keys fall back to
-DuckDB SQL, whose connection is opened on first use.
+fits, else Python ints. DuckDB runs only behind :meth:`result`, whose
+connection is opened on first use.
 
 Leaf state lives as long as the oracle: a relation's filters are
 evaluated on the whole table once per (table, filters) and kept as the
 row indices they pass (none for an unfiltered relation) with their
-count, a column is gathered through those indices once and sorted once
-(its distinct values and each row's position among them, for temp
-statistics), and a leaf's own message (T is the relation alone) is kept
-per (table, filters, column, length), so every query and graph on the
-same leaf shares it. Within a query, a message read at its receiver's rows is
+count, a key column's codes are gathered through those indices once, a
+column's values are sorted once (its distinct values and each row's
+position among them, for temp statistics), and a leaf's own message (T
+is the relation alone) is kept per (table, filters, column, length), so
+every query and graph on the same leaf shares it. Within a query, a message read at its receiver's rows is
 kept too, as several messages out of that receiver multiply it in.
 ``release`` frees one query's messages and reads, flat graphs (with
 their counts) and flattenings only. All of it is filled on first use;
@@ -131,16 +132,17 @@ class _FlatGraph:
     and each edge's key to a small int once per graph: ``key``, the
     relations' ints and the edges' ints in that order, interns equal
     flattenings to one graph, and ``leaf`` keys the oracle's leaf state.
-    On a tree joined on dense keys, ``rows`` holds each relation's
-    filtered row count, and ``side``, ``col`` and ``size`` hold, per
-    directed edge (x, y), x's side of the tree, x's key column and the
-    length of a message along the edge; ``root`` is the relation that
+    ``rows`` holds each relation's filtered row count, and ``side``,
+    ``col`` and ``size`` hold, per directed edge (x, y), x's side of the
+    tree, x's key column and the length of a message along the edge
+    (one more than the largest code of either endpoint's column, as
+    ``top_code`` gives it); ``root`` is the relation that
     counts meet (see ``_best_root``), ``parent`` maps every other relation
     to its neighbour toward the root, and ``levels`` holds the relations
     at each depth, the root's first, as masks.
     """
 
-    def __init__(self, relations, joins, intern, dense_max, n_rows):
+    def __init__(self, relations, joins, intern, top_code, n_rows):
         edges = sorted(((tuple(sorted(((j.left_alias, j.left_col),
                                        (j.right_alias, j.right_col)))), j)
                         for j in joins), key=lambda e: e[0])
@@ -152,29 +154,25 @@ class _FlatGraph:
         self.leaf = tuple(intern((r.table, r.filters)) for r in self.spec.relations)
         ends = [(g.index[a], g.index[b]) for ((a, _), (b, _)), _ in edges]
         full = (1 << len(g.aliases)) - 1
-        cuts = dict(g.tree_cuts() or ())
-        self.tree = len(cuts) == len(joins) == len(g.aliases) - 1
+        cuts = dict(g.tree_cuts())
         self.side, self.col, self.size = {}, {}, {}
         for (x, y), (((_, cx), (_, cy)), _) in zip(ends, edges):
-            hi = [dense_max(self.spec.relations[v].table, c) for v, c in ((x, cx), (y, cy))]
-            self.tree = self.tree and None not in hi
-            if self.tree:
-                self.col[x, y], self.col[y, x] = cx, cy
-                # Long enough for both endpoints' keys, so no lookup reads past it.
-                self.size[x, y] = self.size[y, x] = 1 + max(hi)
-                side = cuts[1 << x | 1 << y]
-                self.side[x, y] = side if side >> x & 1 else full ^ side
-                self.side[y, x] = full ^ self.side[x, y]
-        if self.tree:
-            self.rows = [n_rows(r) for r in self.spec.relations]
-            self.root = r = _best_root(g.nbr, self.rows)
-            # x's parent is the neighbour on the root's side of their edge.
-            self.parent = {x: y for (x, y), side in self.side.items() if not side >> r & 1}
-            self.levels, level, seen = [], 1 << r, 1 << r
-            while level:
-                self.levels.append(level)
-                level = g.neighborhood(level) & ~seen
-                seen |= level
+            self.col[x, y], self.col[y, x] = cx, cy
+            # Long enough for both endpoints' codes, so no lookup reads past it.
+            self.size[x, y] = self.size[y, x] = 1 + max(
+                top_code(self.spec.relations[v].table, c) for v, c in ((x, cx), (y, cy)))
+            side = cuts[1 << x | 1 << y]
+            self.side[x, y] = side if side >> x & 1 else full ^ side
+            self.side[y, x] = full ^ self.side[x, y]
+        self.rows = [n_rows(r) for r in self.spec.relations]
+        self.root = r = _best_root(g.nbr, self.rows)
+        # x's parent is the neighbour on the root's side of their edge.
+        self.parent = {x: y for (x, y), side in self.side.items() if not side >> r & 1}
+        self.levels, level, seen = [], 1 << r, 1 << r
+        while level:
+            self.levels.append(level)
+            level = g.neighborhood(level) & ~seen
+            seen |= level
         #: flat mask → count: the oracle's one count memo.
         self.counts: dict[int, int] = {}
 
@@ -232,18 +230,22 @@ class TrueCardinalityOracle:
 
     def __init__(self, ds: Dataset):
         self._tables: dict[str, pd.DataFrame] = dict(ds.tables)
-        #: the tree path's join keys are ints in [0, _key_bound].
+        #: ints in [0, _key_bound] are their own key codes; _codes maps
+        #: every other key value to a code above it.
         self._key_bound = sum(len(pdf) for pdf in ds.tables.values())
-        self._con: duckdb.DuckDBPyConnection | None = None  # see _duck
+        self._codes: dict[object, int] = {}
+        #: (table, col) → the codes of the key column and the largest.
+        self._keys_cache: dict[tuple[str, str], tuple[np.ndarray, int]] = {}
+        self._con: duckdb.DuckDBPyConnection | None = None  # see result
         #: (alias, table, filters), (table, filters) and edge keys → small
         #: ints, for the oracle's lifetime; graph and leaf keys are built of them.
         self._ids: dict[tuple, int] = {}
         self._temps: dict[str, _TempDef] = {}
         #: Leaf state, kept for the oracle's lifetime, keyed by the leaf's
         #: (table, filters) id: (indices of the rows the filters pass, None
-        #: for no filters; their count), the gathered columns and their
-        #: sorts (distinct values, each row's position among them) by (leaf,
-        #: col), and a leaf's message by (leaf, col, message length).
+        #: for no filters; their count), the gathered key codes and the
+        #: column sorts (distinct values, each row's position among them)
+        #: by (leaf, col), and a leaf's message by (leaf, col, message length).
         self._leaf_cache: dict[int, tuple[np.ndarray | None, int]] = {}
         self._col_cache: dict[tuple, np.ndarray] = {}
         self._col_sorts: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -256,17 +258,7 @@ class TrueCardinalityOracle:
         #: each of p's rows through p's key column on the edge.
         self._msg_cache: dict[tuple, _Msg] = {}
         self._looked: dict[tuple, np.ndarray] = {}
-        #: (table, col) → max value of a dense key column, else None.
-        self._key_max: dict[tuple[str, str], int | None] = {}
         self.n_counts = 0  # per-graph misses (actual counting work)
-
-    def _duck(self) -> duckdb.DuckDBPyConnection:
-        """DuckDB over the dataset's tables, opened on first use."""
-        if self._con is None:
-            self._con = duckdb.connect()
-            for name, pdf in self._tables.items():
-                self._con.register(name, pdf)
-        return self._con
 
     def _id(self, key: tuple) -> int:
         """The small int standing for ``key`` in this oracle."""
@@ -328,7 +320,7 @@ class TrueCardinalityOracle:
     def _expand_flattening(self, spec: QuerySpec) -> tuple[_FlatGraph, list[int]]:
         """Build ``spec``'s flat graph from its temps' expansion."""
         relations, joins, owners = self._expand(spec)
-        g = _FlatGraph(relations, joins, self._id, self._dense_max,
+        g = _FlatGraph(relations, joins, self._id, lambda t, c: self._keys(t, c)[1],
                        lambda rel: self._leaf(rel)[1])
         g = self._graphs.setdefault(g.key, g)
         part = dict.fromkeys(spec.graph.aliases, 0)
@@ -387,22 +379,8 @@ class TrueCardinalityOracle:
         n = g.counts.get(f)
         if n is None:
             self.n_counts += 1
-            if g.tree:
-                n = self._tree_count(g, f)
-            else:
-                sql = g.spec.count_sql(g.graph.subset(f))
-                n = int(self._duck().execute(sql).fetchone()[0])
-            g.counts[f] = n
+            n = g.counts[f] = self._tree_count(g, f)
         return n
-
-    def _dense_max(self, table: str, col: str) -> int | None:
-        """Max of ``table.col`` if all its values are ints in [0, key bound]."""
-        if (table, col) not in self._key_max:
-            v = self._tables[table][col].to_numpy()
-            hi = int(v.max(initial=0)) if v.dtype.kind == "i" else None
-            dense = hi is not None and hi <= self._key_bound and v.min(initial=0) >= 0
-            self._key_max[(table, col)] = hi if dense else None
-        return self._key_max[(table, col)]
 
     def result(self, spec: QuerySpec) -> pd.DataFrame:
         """Full query result (COUNT + MINs) via DuckDB, temps expanded.
@@ -414,9 +392,13 @@ class TrueCardinalityOracle:
             spec.min_cols, lambda a, c: self._base_col(spec, a, c)
         )
         sql = select_sql(outs, *self._expand(spec)[:2])
-        return self._duck().execute(sql).fetchdf()
+        if self._con is None:
+            self._con = duckdb.connect()
+            for name, pdf in self._tables.items():
+                self._con.register(name, pdf)
+        return self._con.execute(sql).fetchdf()
 
-    # -- Yannakakis counting over tree-shaped flat graphs ----------------
+    # -- Yannakakis counting over flat graphs ----------------------------
     def _leaf(self, rel: Relation) -> tuple[np.ndarray | None, int]:
         """Indices of ``rel``'s filtered rows (None: all rows) and their count."""
         key = self._id((rel.table, rel.filters))
@@ -430,22 +412,49 @@ class TrueCardinalityOracle:
                 self._leaf_cache[key] = None, len(pdf)
         return self._leaf_cache[key]
 
+    def _keys(self, table: str, col: str) -> tuple[np.ndarray, int]:
+        """Codes of key column ``table.col`` and the largest of them: the
+        column itself if it holds ints in [0, key bound], else each value's
+        code from the oracle-wide map (see the module docstring)."""
+        hit = self._keys_cache.get((table, col))
+        if hit is None:
+            v = self._tables[table][col].to_numpy()
+            if not (v.dtype.kind in "iu" and v.min(initial=0) >= 0
+                    and v.max(initial=0) <= self._key_bound):
+                vals, inv = np.unique(v, return_inverse=True)
+                v = np.array([self._code(x) for x in vals.tolist()], dtype=np.int64)[inv]
+            hit = self._keys_cache[table, col] = v, int(v.max(initial=0))
+        return hit
+
+    def _code(self, x) -> int:
+        """The key code of value ``x``: an integral number in [0, key
+        bound] is its own, any other value the next code above the bound
+        on first sight."""
+        if isinstance(x, (int, float)) and 0 <= x <= self._key_bound and x == int(x):
+            return int(x)
+        return self._codes.setdefault(x, self._key_bound + 1 + len(self._codes))
+
+    def _rows_of(self, rel: Relation, v: np.ndarray) -> np.ndarray:
+        """``v``, a column of ``rel``'s table, at ``rel``'s filtered rows."""
+        idx, _ = self._leaf(rel)
+        return v if idx is None else v[idx]
+
     def _col(self, g: _FlatGraph, x: int, col: str) -> np.ndarray:
-        """Column ``col`` of relation ``x``'s filtered rows."""
+        """Codes of key column ``col`` at relation ``x``'s filtered rows."""
         key = g.leaf[x], col
         if key not in self._col_cache:
             rel = g.spec.relations[x]
-            idx, _ = self._leaf(rel)
-            v = self._tables[rel.table][col].to_numpy()
-            self._col_cache[key] = v if idx is None else v[idx]
+            self._col_cache[key] = self._rows_of(rel, self._keys(rel.table, col)[0])
         return self._col_cache[key]
 
     def _col_sort(self, g: _FlatGraph, x: int, col: str) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct values of ``_col(g, x, col)``, sorted, and each row's
-        position among them (read-only)."""
+        """Distinct values of column ``col`` at relation ``x``'s filtered
+        rows, sorted, and each row's position among them (read-only)."""
         key = g.leaf[x], col
         if key not in self._col_sorts:
-            vals, inv = np.unique(self._col(g, x, col), return_inverse=True)
+            rel = g.spec.relations[x]
+            v = self._rows_of(rel, self._tables[rel.table][col].to_numpy())
+            vals, inv = np.unique(v, return_inverse=True)
             vals.flags.writeable = inv.flags.writeable = False
             self._col_sorts[key] = vals, inv
         return self._col_sorts[key]
@@ -530,13 +539,6 @@ class TrueCardinalityOracle:
         base alias of the flattened spec.
         """
         g, f = self._flat(spec, spec.graph.mask(subset))
-        if not g.tree:
-            s = g.graph.subset(f)
-            sql = (f"SELECT {alias}.{col} AS v, COUNT(*) AS c FROM "
-                   f"{g.spec.from_sql(s)} WHERE {g.spec.where_sql(s)} "
-                   "GROUP BY 1 ORDER BY 1")
-            pdf = self._duck().execute(sql).fetchdf()
-            return pdf["v"].to_numpy(), pdf["c"].to_numpy()
         x = g.graph.index[alias]
         w, bound = self._weights(g, f, x)
         vals, inv = self._col_sort(g, x, col)

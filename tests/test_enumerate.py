@@ -1,4 +1,5 @@
-"""Plan enumeration tests: DP optimality, DPccp pair counts, telemetry."""
+"""Plan enumeration tests: DP optimality, csg-cmp pair counts against
+DPccp, telemetry."""
 import itertools
 import os
 import random
@@ -17,7 +18,7 @@ from repro.core.cost import CostModel
 from repro.core.enumerate import _pairs, plan_query
 from repro.core.estimator import PerfectEstimator, PostgresEstimator
 from repro.core.plans import Join, Leaf, Plan, walk
-from repro.core.query import JoinEdge, QuerySpec, Relation, connected_subsets
+from repro.core.query import JoinEdge, JoinGraph, QuerySpec, Relation, connected_subsets
 from repro.imdb import workload
 
 
@@ -168,8 +169,7 @@ SHAPES = {
               lambda n: (n**3 - n) // 6),
     "star": (lambda n: [(0, i) for i in range(1, n)],
              lambda n: (n - 1) * 2 ** (n - 2)),
-    "cycle": (lambda n: [(i, (i + 1) % n) for i in range(n)],
-              lambda n: (n**3 - 2 * n**2 + n) // 2),
+    # A tree only at n = 2.
     "clique": (lambda n: list(itertools.combinations(range(n), 2)),
                lambda n: (3**n - 2 ** (n + 1) + 1) // 2),
 }
@@ -193,7 +193,7 @@ class StubEstimator:
 
 @pytest.mark.parametrize(
     "shape,n",
-    [(s, n) for s in sorted(SHAPES) for n in range(3 if s == "cycle" else 2, 9)],
+    [(s, n) for s in sorted(SHAPES) for n in range(2, 3 if s == "clique" else 9)],
 )
 def test_n_pairs_matches_closed_form(shape, n):
     edges, pairs = SHAPES[shape]
@@ -248,20 +248,15 @@ def reference_dp(spec, estimator, cost):
 
 
 @st.composite
-def connected_graphs(draw):
-    """Random trees over 2-9 relations, with or without extra edges."""
-    n = draw(st.integers(2, 9))
-    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    for i, j in draw(st.lists(pairs, max_size=n)):
-        if i != j and (j, i) not in edges:
-            edges.add((i, j))
-    order = draw(st.permutations(range(n)))
-    return graph_spec(n, sorted(edges), order)
+def trees(draw, max_n=17):
+    """Random trees over 1-``max_n`` relations, in shuffled relation order."""
+    n = draw(st.integers(1, max_n))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    return graph_spec(n, edges, draw(st.permutations(range(n))))
 
 
 @settings(max_examples=150, deadline=None)
-@given(connected_graphs(), st.integers(0, 10**6), st.integers(1, 4))
+@given(trees(max_n=9), st.integers(0, 10**6), st.integers(1, 4))
 def test_dpccp_matches_submask_dp(spec, seed, top):
     cost = CostModel()
     ref_plan, ref_sizes, ref_subsets = reference_dp(spec, StubEstimator(seed, top), cost)
@@ -274,45 +269,103 @@ def test_dpccp_matches_submask_dp(spec, seed, top):
     assert connected_subsets(spec) == ref_subsets
 
 
-def cmp_pairs(g):
+class DPccpGraph(JoinGraph):
+    """The reference enumeration: EnumerateCsg/EnumerateCmp of Moerkotte &
+    Neumann, "Analysis of Two Existing and One New Dynamic Programming
+    Algorithm for the Generation of Optimal Bushy Join Trees without Cross
+    Products" (VLDB 2006), which works on any join graph."""
+
+    def csgs(self) -> list[int]:
+        """Every connected subgraph (EnumerateCsg), in no fixed order."""
+        out: list[int] = []
+        for i in reversed(range(len(self.nbr))):
+            out.append(1 << i)
+            self._grow(1 << i, self.nbr[i], (2 << i) - 1, out)
+        return out
+
+    def cmps(self, s1: int) -> list[int]:
+        """Every connected complement of the csg ``s1`` (EnumerateCmp).
+
+        Each is a csg disjoint from and adjacent to ``s1`` whose lowest
+        member is above ``s1``'s, so every unordered csg-cmp pair is
+        reached from exactly one of its halves.
+        """
+        x = s1 | (((s1 & -s1) << 1) - 1)
+        n = self.neighborhood(s1) & ~x
+        out: list[int] = []
+        for i in reversed(range(n.bit_length())):
+            if n >> i & 1:
+                out.append(1 << i)
+                self._grow(1 << i, self.nbr[i], x | (n & ((2 << i) - 1)), out)
+        return out
+
+    def _grow(self, s: int, s_nbr: int, x: int, out: list[int]) -> None:
+        """EnumerateCsgRec: append each connected ``s | sub`` for non-empty
+        ``sub`` drawn from ``s``'s neighbours outside ``x``, recursively.
+
+        ``s_nbr`` is ``neighborhood(s)``; a subset's neighbourhood is
+        built from the one without its lowest bit, so each costs one OR.
+        """
+        n = s_nbr & ~x
+        if not n:
+            return
+        grown = {0: s_nbr}
+        sub = n & -n
+        while sub:  # non-empty subsets of n in increasing order
+            low = sub & -sub
+            grown[sub] = grown[sub ^ low] | self.nbr[low.bit_length() - 1]
+            out.append(s | sub)
+            sub = (sub - n) & n
+        del grown[0]
+        x |= n
+        for sub, sub_nbr in grown.items():
+            self._grow(s | sub, sub_nbr, x, out)
+
+
+def cmp_pairs(spec):
     """DPccp's unordered csg-cmp pairs as (union, lower half) masks."""
+    g = DPccpGraph(spec)
     return {(s1 | s2, min(s1, s2)) for s1 in g.csgs() for s2 in g.cmps(s1)}
 
 
 def edge_cut_pairs(g):
     """The planner's pairs of a tree as (union, lower half) masks."""
-    assert g.tree_cuts() is not None
     csgs = np.array(g.csgs(), dtype=np.int64)
-    u, lo, _ = _pairs(g, csgs, pos=None)
+    u, lo, _ = _pairs(g, csgs)
     return set(zip(csgs[u].tolist(), lo.tolist()))
 
 
-@st.composite
-def trees(draw):
-    """Random trees over 1-17 relations, in shuffled relation order."""
-    n = draw(st.integers(1, 17))
-    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
-    return graph_spec(n, edges, draw(st.permutations(range(n))))
+def assert_csgs_equal_enumerate_csg(spec):
+    """The rooted-subtree csgs are EnumerateCsg's, each once."""
+    assert sorted(spec.graph.csgs()) == sorted(DPccpGraph(spec).csgs()), spec.name
 
 
 @settings(max_examples=60, deadline=None)
 @given(trees())
 def test_edge_cut_pairs_equal_dpccp_pairs_on_trees(spec):
     pairs = edge_cut_pairs(spec.graph)
-    assert pairs == cmp_pairs(spec.graph)
+    assert pairs == cmp_pairs(spec)
     pr = plan_query(spec, StubEstimator(), CostModel())
     assert pr.n_pairs == len(pairs)
     assert pr.n_pairs == sum(len(s) - 1 for s in connected_subsets(spec))
+    assert_csgs_equal_enumerate_csg(spec)
 
 
 def test_edge_cut_pairs_equal_dpccp_pairs_on_job_lite(specs):
     for spec in specs:
-        assert edge_cut_pairs(spec.graph) == cmp_pairs(spec.graph), spec.name
+        assert edge_cut_pairs(spec.graph) == cmp_pairs(spec), spec.name
+        assert_csgs_equal_enumerate_csg(spec)
 
 
 def test_tree_cuts_only_for_trees():
     assert graph_spec(3, [(0, 1), (1, 2)]).graph.tree_cuts() == [(0b011, 0b110), (0b110, 0b100)]
-    assert graph_spec(3, [(0, 1), (1, 2), (0, 2)]).graph.tree_cuts() is None
+
+
+def test_cyclic_spec_rejected():
+    with pytest.raises(ValueError, match="cycle"):
+        graph_spec(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="cycle"):  # one join twice
+        graph_spec(2, [(0, 1), (0, 1)])
 
 
 # -- plans do not depend on PYTHONHASHSEED ------------------------------
